@@ -1,24 +1,26 @@
 """Cyclic orbit codes and their analysis.
 
-A cyclic orbit code is the orbit of a k-dim subspace of F_q^n under the
-cyclic group generated by an invertible matrix. The naive analyzer
-enumerates the orbit; the fast analyzers exploit the generator's structure
-(primitive companion, irreducible companion, two primitive diagonal
-blocks, or the companion of p^2) through difference multisets of
-discrete-log exponents. The underlying identity in every regime is
+A cyclic orbit code is the orbit of a k-dim subspace U of F_q^n under the
+cyclic group generated by an invertible matrix M. The naive analyzer
+enumerates the orbit. The fast analyzer needs M as diagonal companion
+blocks of elementary divisors p^e, where M multiplies each block by x in
+F_q[x]/(p^e). Each nonzero start element v sits on one cycle of that
+action per live block; combining the blocks by CRT puts v on one cycle of
+M with a position P_v mod L. Then vM^h = w exactly when v and w share the
+M-cycle and h = P_w - P_v mod L, so one scan of position differences gives
 
-    multiplicity(key of h) + 1 = q^dim(U cap U P^h)
+    count(h) = #{v in U - 0 : vM^h in U} = q^dim(U cap U M^h) - 1
 
-over ordered pairs of nonzero start elements, so the fast results are
-exact, not bounds. Tests enforce equality against the naive oracle.
+for every h at once. The fast results are exact, not bounds; tests
+enforce equality against the naive oracle.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .canonical import ElementaryDivisorSpec, poly_pow
 from .errors import (
@@ -29,8 +31,6 @@ from .errors import (
 )
 from .fields import FieldCtx, Poly, PrimeField, field_context
 from .linalg import Mat, Subspace, matrix_order, row_times_mat, subspace_distance
-
-logger = logging.getLogger(__name__)
 
 ORBIT_CAP = 2**20
 
@@ -53,9 +53,9 @@ class CyclicOrbitCode:
     """An orbit code U<M>. Build through make_code/general_code.
 
     block_structure describes M as diagonal companion blocks when known;
-    the fast analyzers and O(n)-per-row orbit stepping need it. A code
+    the fast analyzer and O(n)-per-row orbit stepping need it. A code
     built from a bare matrix has block_structure None and regime
-    "general".
+    "general"; the regime label only names the block shape.
     """
 
     generator: Mat
@@ -130,7 +130,8 @@ def general_code(generator: Mat, start: Subspace) -> CyclicOrbitCode:
 # -- orbit stepping ---------------------------------------------------------
 
 
-def _block_contexts(spec: ElementaryDivisorSpec) -> list[tuple[int, int, FieldCtx]]:
+@lru_cache(maxsize=128)
+def _block_contexts(spec: ElementaryDivisorSpec) -> tuple[tuple[int, int, FieldCtx], ...]:
     """(offset, width, context of F_q[x]/(p^e)) per block."""
     out = []
     offset = 0
@@ -139,7 +140,7 @@ def _block_contexts(spec: ElementaryDivisorSpec) -> list[tuple[int, int, FieldCt
         ctx = field_context(g)
         out.append((offset, g.degree, ctx))
         offset += g.degree
-    return out
+    return tuple(out)
 
 
 def _make_stepper(code: CyclicOrbitCode):
@@ -170,15 +171,12 @@ def codeword(code: CyclicOrbitCode, exponent: int) -> Subspace:
     """The orbit element U M^exponent, canonicalized."""
     if code.block_structure is None:
         return code.start.transform(code.generator**exponent)
-    blocks = [
-        (off, width, ctx, ctx.x_power(exponent))
-        for off, width, ctx in _block_contexts(code.block_structure)
-    ]
+    blocks = _block_contexts(code.block_structure)
     rows = []
     for r in code.start.rows:
         parts = []
-        for off, width, ctx, xe in blocks:
-            parts.extend(ctx.mul(r[off : off + width], xe))
+        for off, width, ctx in blocks:
+            parts.extend(ctx.mul_x_power(r[off : off + width], exponent))
         rows.append(parts)
     return Subspace.from_rows(code.q, code.n, rows)
 
@@ -216,293 +214,87 @@ def analyze_naive(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> CodeParams:
     return CodeParams(len(orbit), best, tuple(dist))
 
 
-# -- difference-multiset machinery -----------------------------------------
+# -- the fast analyzer -------------------------------------------------------
 
 
-class DifferenceMultiset:
-    """Multiset of exponent differences b_m - b_l over ordered pairs l != m.
+def _place(v, blocks) -> tuple[tuple, int, int]:
+    """(M-cycle key, position P, cycle length L) of a nonzero vector v.
 
-    Keys are residues mod the relevant orbit length (ints here; the
-    two-block analyzer uses its own pair-keyed variant). multiplicity(h)+1
-    is exactly q^dim(U cap UP^h).
+    Per live block, v's part has a cycle id, a position e and a length m,
+    and vM^h = w needs h = e_w - e_v mod m in every live block. The
+    positions are merged by CRT into one P mod L = lcm of the m. Where two
+    moduli share a factor g the system only has a solution when the
+    positions agree mod g, so e is first shifted by (P - e) mod g and the
+    shift goes into the key: two elements then share a key exactly when
+    some power of M maps one to the other.
     """
-
-    def __init__(self):
-        self.entries: Counter = Counter()
-
-    def add(self, key, count: int = 1) -> None:
-        self.entries[key] += count
-
-    def get(self, key) -> int:
-        return self.entries.get(key, 0)
-
-    def max_multiplicity(self) -> int:
-        return max(self.entries.values(), default=0)
-
-    def keys_with(self, mult: int) -> list:
-        return sorted(k for k, v in self.entries.items() if v == mult)
-
-
-def _ilog(q: int, m: int) -> int:
-    """Exact integer log: the d with q^d = m, else an internal error."""
-    d = 0
-    while q**d < m:
-        d += 1
-    if q**d != m:
-        raise InternalInvariantError(
-            f"multiplicity+1 = {m} is not a power of {q}; contradicts subspace structure"
-        )
-    return d
+    key = []
+    P, L = 0, 1
+    for off, width, ctx in blocks:
+        part = v[off : off + width]
+        if not any(part):
+            key.append(None)
+            continue
+        cid, e, m = ctx.cycle_of(part)
+        g = math.gcd(L, m)
+        shift = (P - e) % g
+        mg = m // g
+        P += L * ((e + shift - P) // g * pow(L // g, -1, mg) % mg)
+        L *= mg
+        key.append((cid, shift))
+    return tuple(key), P, L
 
 
-def _params_from_multiset(
-    D: DifferenceMultiset,
-    r: int,
-    k: int,
-    q: int,
-    with_distribution: bool,
-) -> CodeParams:
-    """Shared d<k / d=k endgame for single-exponent difference multisets.
+def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParams:
+    """Exact parameters from count(h) for any block-structured generator.
 
-    r is the exponent modulus (the generator's order). Cardinality is the
-    least key with full multiplicity q^k - 1, else r.
+    Within an M-cycle of length L, vM^h = w for w on the same cycle exactly
+    when h = P_w - P_v mod L, so count(h) sums, over the M-cycles, the
+    number of position differences equal to h mod L. The positions U has
+    on an M-cycle repeat under some least shift, its period; U M^h = U
+    exactly when h is a multiple of every period, so the cardinality is
+    their lcm.
     """
-    full = q**k - 1
-    c = D.max_multiplicity()
-    d = _ilog(q, c + 1)
-    if d < k:
-        cardinality = r
-        min_distance = 2 * (k - d)
-    else:
-        cardinality = min(D.keys_with(full))
-        if cardinality == 1:
-            min_distance = None
-        else:
-            below = max((v for v in D.entries.values() if v < full), default=0)
-            min_distance = 2 * (k - _ilog(q, below + 1))
-    distribution = None
-    if with_distribution:
-        dist = [0] * (k + 1)
-        dist[0] = 1
-        for h in range(1, cardinality):
-            dim = _ilog(q, D.get(h % r) + 1)
-            dist[k - dim] += 1
-        distribution = tuple(dist)
-    return CodeParams(cardinality, min_distance, distribution)
-
-
-def _single_block_ctx(code: CyclicOrbitCode, op: str) -> FieldCtx:
-    spec = code.block_structure
-    if spec is None or len(spec.blocks) != 1 or spec.blocks[0][1] != 1:
-        raise DomainError(f"{op} needs a single companion-block generator")
-    return field_context(spec.blocks[0][0])
-
-
-def analyze_primitive(code: CyclicOrbitCode, with_distribution: bool = False) -> CodeParams:
-    """Fast analysis for a primitive companion generator.
-
-    Builds the difference multiset of dlogs of all nonzero start elements
-    mod q^n - 1, then reads cardinality and minimum distance off the
-    maximal multiplicities.
-    """
-    ctx = _single_block_ctx(code, "analyze_primitive")
-    if not ctx.is_primitive:
-        raise DomainError("analyze_primitive needs a primitive generator polynomial")
     q, k = code.q, code.k
-    N = q**ctx.n - 1
-    table = ctx.dlog_table
-    logs = [table[v] for v in code.start.nonzero_elements()]
-    D = DifferenceMultiset()
-    for bl in logs:
-        for bm in logs:
-            if bl != bm:
-                D.add((bm - bl) % N)
-    return _params_from_multiset(D, N, k, q, with_distribution)
-
-
-def analyze_irreducible(code: CyclicOrbitCode, with_distribution: bool = False) -> CodeParams:
-    """Fast analysis for an irreducible (possibly non-primitive) companion
-    generator: per-<x>-orbit difference multisets over Z_ord(P), summed.
-
-    When every nonzero start element sits in a distinct orbit the multiset
-    is empty and the result is the fast path (ord(P), 2k)."""
-    ctx = _single_block_ctx(code, "analyze_irreducible")
-    if not ctx.is_irreducible:
-        raise DomainError("analyze_irreducible needs an irreducible generator polynomial")
-    q, k = code.q, code.k
-    r = ctx.x_order
-    groups: dict[int, list[int]] = {}
-    if ctx.is_primitive:
-        table = ctx.dlog_table
-        groups[0] = [table[v] for v in code.start.nonzero_elements()]
-    else:
-        for v in code.start.nonzero_elements():
-            oid, e = ctx.element_orbit(v)
-            groups.setdefault(oid, []).append(e)
-    D = DifferenceMultiset()
-    for exps in groups.values():
-        for bl in exps:
-            for bm in exps:
-                if bl != bm:
-                    D.add((bm - bl) % r)
-    return _params_from_multiset(D, r, k, q, with_distribution)
-
-
-def analyze_reducible_blocks(
-    code: CyclicOrbitCode, with_distribution: bool = False
-) -> CodeParams:
-    """Fast analysis for diag(P_1, P_2) with both blocks primitive.
-
-    Nonzero start elements split into S_1 (both block projections
-    nonzero), S_2 (second zero), S_3 (first zero). Ordered S_1 pairs give
-    exponent-pair keys; S_2/S_3 pairs constrain one coordinate and leave
-    the other free; S_2/S_3 elements are additionally fixed by every h
-    killing their live block, which is the diagonal contribution. The
-    multiplicity of the key of h is then evaluated directly per exponent
-    h, which also enforces that only CRT-realizable keys count.
-    """
-    spec = code.block_structure
-    if (
-        spec is None
-        or len(spec.blocks) != 2
-        or any(e != 1 for _, e in spec.blocks)
-    ):
-        raise DomainError("analyze_reducible_blocks needs exactly two companion blocks")
-    ctx1 = field_context(spec.blocks[0][0])
-    ctx2 = field_context(spec.blocks[1][0])
-    if not (ctx1.is_primitive and ctx2.is_primitive):
-        raise DomainError("analyze_reducible_blocks needs both blocks primitive")
-    q, k = code.q, code.k
-    n1 = ctx1.n
-    r1, r2 = q**ctx1.n - 1, q**ctx2.n - 1
-    L = math.lcm(r1, r2)
-    t1, t2 = ctx1.dlog_table, ctx2.dlog_table
-
-    s1_pairs = DifferenceMultiset()  # keys (a1, a2)
-    s2_pairs = DifferenceMultiset()  # keys a1
-    s3_pairs = DifferenceMultiset()  # keys a2
-    s1: list[tuple[int, int]] = []
-    s2: list[int] = []
-    s3: list[int] = []
+    blocks = _block_contexts(code.block_structure)
+    groups: dict[tuple, tuple[int, list[int]]] = {}
     for v in code.start.nonzero_elements():
-        v1, v2 = v[:n1], v[n1:]
-        if any(v1) and any(v2):
-            s1.append((t1[v1], t2[v2]))
-        elif any(v1):
-            s2.append(t1[v1])
-        else:
-            s3.append(t2[v2])
-    for bl1, bl2 in s1:
-        for bm1, bm2 in s1:
-            if (bl1, bl2) != (bm1, bm2):
-                s1_pairs.add(((bm1 - bl1) % r1, (bm2 - bl2) % r2))
-    for bl in s2:
-        for bm in s2:
-            if bl != bm:
-                s2_pairs.add((bm - bl) % r1)
-    for bl in s3:
-        for bm in s3:
-            if bl != bm:
-                s3_pairs.add((bm - bl) % r2)
-    n_s2, n_s3 = len(s2), len(s3)
-
-    def mult(h: int) -> int:
-        a1, a2 = h % r1, h % r2
-        m = s1_pairs.get((a1, a2)) + s2_pairs.get(a1) + s3_pairs.get(a2)
-        if a1 == 0:
-            m += n_s2
-        if a2 == 0:
-            m += n_s3
-        return m
-
-    full = q**k - 1
-    cardinality = L
-    for h in range(1, L):
-        if mult(h) == full:
-            cardinality = h
-            break
-    if cardinality == 1:
-        min_distance = None
-    else:
-        below = max(mult(h) for h in range(1, cardinality))
-        min_distance = 2 * (k - _ilog(q, below + 1))
-    distribution = None
-    if with_distribution:
-        dist = [0] * (k + 1)
-        dist[0] = 1
-        for h in range(1, cardinality):
-            dist[k - _ilog(q, mult(h) + 1)] += 1
-        distribution = tuple(dist)
-    return CodeParams(cardinality, min_distance, distribution)
-
-
-def analyze_nonsemisimple(
-    code: CyclicOrbitCode, with_distribution: bool = False
-) -> CodeParams:
-    """Fast analysis for the companion of f = p^2, p irreducible, p(0) != 0.
-
-    F_q[x]/(f) is a ring, not a field; x is still a unit, so exponents live
-    mod ord(x) = matrix_order(P_f). For a unit element the matching
-    exponents come from division plus a power-of-x lookup; non-units fall
-    back to scanning u x^b. The theorem's stated cardinality q^(n/2) - 1
-    does not hold in general; the value here comes from actual orbit
-    closure, with a log line when the two disagree.
-    """
-    spec = code.block_structure
-    if spec is None or len(spec.blocks) != 1 or spec.blocks[0][1] != 2:
-        raise DomainError("analyze_nonsemisimple needs a single p^2 companion block")
-    p = spec.blocks[0][0]
-    if p.coeff(0) == 0:
-        raise DomainError("generator is singular: p(0) = 0")
-    f = poly_pow(p, 2)
-    ctx = field_context(f)
-    q, k = code.q, code.k
-    r = ctx.x_order
-    elems = list(code.start.nonzero_elements())
-    elem_set = set(elems)
-    D = DifferenceMultiset()
-    for u in elems:
-        if ctx.is_unit(u):
-            inv_u = ctx.inv(u)
-            for w in elems:
-                b = ctx.x_log(ctx.mul(w, inv_u))
-                if b is not None and b != 0:
-                    D.add(b)
-        else:
-            v = u
-            for b in range(1, r):
-                v = ctx.mul_by_x(v)
-                if v in elem_set:
-                    D.add(b)
-    params = _params_from_multiset(D, r, k, q, with_distribution)
-    stated = q ** (ctx.n // 2) - 1
-    if params.cardinality != stated:
-        logger.debug(
-            "p^2 orbit closure gives cardinality %d (stated q^(n/2)-1 = %d)",
-            params.cardinality,
-            stated,
+        key, P, L = _place(v, blocks)
+        groups.setdefault(key, (L, []))[1].append(P)
+    cardinality = 1
+    diffs = []
+    for L, ps in groups.values():
+        cnt = Counter((pw - pv) % L for pv in ps for pw in ps)
+        # a shift maps the positions onto themselves iff every one of the
+        # len(ps) pairs it moves lands on a position
+        period = min(
+            (d for d in {(p - ps[0]) % L for p in ps} if d and cnt[d] == len(ps)),
+            default=L,
         )
-    return params
-
-
-# -- dispatcher -------------------------------------------------------------
-
-
-def fast_analyzer(code: CyclicOrbitCode):
-    """The applicable fast analyzer for this code's regime, or None."""
-    if code.regime == "primitive":
-        return analyze_primitive
-    if code.regime == "irreducible":
-        return analyze_irreducible
-    if code.regime == "non_semisimple":
-        return analyze_nonsemisimple
-    if code.regime == "completely_reducible":
-        spec = code.block_structure
-        if len(spec.blocks) == 2 and all(
-            field_context(p).is_primitive for p, _ in spec.blocks
-        ):
-            return analyze_reducible_blocks
-    return None
+        cardinality = math.lcm(cardinality, period)
+        diffs.append((L, cnt))
+    # count(h) for the 0 < h < cardinality where it is nonzero; count has
+    # period cardinality, so these h cover every other codeword
+    per_h: Counter = Counter()
+    for L, cnt in diffs:
+        if L % cardinality:
+            per_h.update({h: c for d, c in cnt.items() for h in range(d, cardinality, L)})
+        else:
+            # every h < cardinality <= L is its own residue mod L
+            per_h.update({d: c for d, c in cnt.items() if d < cardinality})
+    del per_h[0]
+    # count(h) + 1 = q^dim(U cap UM^h), and UM^h lies at distance 2(k - dim)
+    dim_of = {q**d - 1: d for d in range(k + 1)}
+    dist = [0] * (k + 1)
+    dist[0] = 1
+    dist[k] = cardinality - 1 - len(per_h)
+    try:
+        for c, times in Counter(per_h.values()).items():
+            dist[k - dim_of[c]] += times
+    except KeyError:
+        raise InternalInvariantError("a pair count is not q^dim - 1") from None
+    min_distance = next((2 * i for i in range(1, k + 1) if dist[i]), None)
+    return CodeParams(cardinality, min_distance, tuple(dist) if with_distribution else None)
 
 
 def analyze(
@@ -513,8 +305,8 @@ def analyze(
 ) -> CodeParams:
     """Analyze by the requested method.
 
-    "fast" demands a structural analyzer and fails when none applies;
-    "auto" falls back to the naive oracle; "naive" always enumerates.
+    "fast" needs a block-structured generator and fails on a bare matrix;
+    "auto" falls back to the naive oracle there; "naive" always enumerates.
     """
     if method not in ("auto", "fast", "naive"):
         raise DomainError(f"unknown analysis method {method!r}")
@@ -522,21 +314,15 @@ def analyze(
         # the start is the whole space, fixed by every generator
         dist = (1,) + (0,) * code.k if with_distribution else None
         return CodeParams(1, None, dist)
-
-    def settle(params: CodeParams) -> CodeParams:
-        # the oracle computes the distribution anyway; drop it unless asked
-        if params.distribution is not None and not with_distribution:
-            return CodeParams(params.cardinality, params.min_distance)
-        return params
-
-    if method == "naive":
-        return settle(analyze_naive(code, cap=cap))
-    fast = fast_analyzer(code)
-    if fast is not None:
-        return fast(code, with_distribution=with_distribution)
+    if method != "naive" and code.block_structure is not None:
+        return _analyze_blocks(code, with_distribution)
     if method == "fast":
-        raise DomainError(f"no fast analyzer for regime {code.regime!r}")
-    return settle(analyze_naive(code, cap=cap))
+        raise DomainError("the fast analyzer needs a block-structured generator, not a bare matrix")
+    params = analyze_naive(code, cap=cap)
+    # the oracle computes the distribution anyway; drop it unless asked
+    if not with_distribution:
+        return CodeParams(params.cardinality, params.min_distance)
+    return params
 
 
 # -- block bounds -----------------------------------------------------------
@@ -564,14 +350,7 @@ class BoundsReport:
 
 
 def _row_period(ctx: FieldCtx, v: tuple[int, ...]) -> int:
-    if not any(v):
-        return 1
-    w = ctx.mul_by_x(v)
-    t = 1
-    while w != v:
-        w = ctx.mul_by_x(w)
-        t += 1
-    return t
+    return ctx.cycle_of(v)[2] if any(v) else 1
 
 
 def block_bounds(
@@ -694,11 +473,6 @@ def block_bounds(
 # -- distribution and duality ----------------------------------------------
 
 
-def distance_distribution(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> CodeParams:
-    """CodeParams with the full distribution, by orbit enumeration."""
-    return analyze_naive(code, cap=cap)
-
-
 def dual_code(code: CyclicOrbitCode) -> CyclicOrbitCode:
     """The dual orbit code (U^perp)<M^t>."""
     from .linalg import dual
@@ -731,15 +505,22 @@ def code_to_json_dict(code: CyclicOrbitCode, shape: str = "free") -> dict:
     }
 
 
+def _is_json_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def code_from_json_dict(data: dict) -> tuple[CyclicOrbitCode, str]:
     """Parse {"q", "blocks", "start", "shape"}; returns (code, shape)."""
     if not isinstance(data, dict):
         raise DomainError("code spec must be a JSON object")
+    q = data.get("q")
+    if not _is_json_int(q):
+        raise DomainError(f'code spec needs an integer "q", got {q!r}')
     try:
-        q = int(data["q"])
-    except (KeyError, TypeError, ValueError):
-        raise DomainError('code spec needs an integer "q"') from None
-    field = PrimeField(q)
+        field = PrimeField(q)
+    except DomainError as err:
+        raise DomainError(f'"q": {err}') from None
     raw_blocks = data.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise DomainError('code spec needs a non-empty "blocks" list')
@@ -748,10 +529,9 @@ def code_from_json_dict(data: dict) -> tuple[CyclicOrbitCode, str]:
         if not isinstance(b, dict) or "poly" not in b:
             raise DomainError(f'blocks[{i}] needs a "poly" entry')
         p = Poly.from_text(field, str(b["poly"]))
-        try:
-            e = int(b.get("exp", 1))
-        except (TypeError, ValueError):
-            raise DomainError(f'blocks[{i}].exp must be an integer') from None
+        e = b.get("exp", 1)
+        if not _is_json_int(e):
+            raise DomainError(f"blocks[{i}].exp must be an integer, got {e!r}")
         blocks.append((p, e))
     spec = ElementaryDivisorSpec.make(field, blocks)
     raw_start = data.get("start")

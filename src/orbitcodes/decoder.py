@@ -2,11 +2,14 @@
 irreducible companion-block generator.
 
 Every codeword intersecting the received space R nontrivially shows up as
-a candidate U P^e with x^e = phi(v) phi(u)^(-1) for some pair of nonzero
-vectors v in R, u in U, so scanning all pairs and keeping the candidate of
-maximal intersection is a full nearest-codeword search. The L_f variant
-restricts v to low-support combinations of R's basis and stops as soon as
-a candidate is provably the unique nearest codeword.
+a candidate U P^e with v = u x^e for some pair of nonzero vectors v in R,
+u in U. Such an e exists exactly when v and u lie on the same cycle of
+multiplication by x, and then it is the difference of their positions on
+that cycle, read from the field context's cycle index. Scanning all pairs
+and keeping the candidate of maximal intersection is a full
+nearest-codeword search. The L_f variant restricts v to low-support
+combinations of R's basis and stops as soon as a candidate is provably
+the unique nearest codeword.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analysis import CodeParams, CyclicOrbitCode, analyze
+from .analysis import CodeParams, CyclicOrbitCode, analyze, codeword
 from .errors import DomainError
 from .fields import FieldCtx, field_context
 from .linalg import Subspace, intersection_dim
@@ -75,27 +78,14 @@ class _CandidateScan:
         self.cache: dict[int, tuple[Subspace, int]] = {}
         self.best_dim = 0
         self.best_exps: set[int] = set()
-        if self.ctx.is_primitive:
-            table = self.ctx.dlog_table
-            self.u_logs = [table[v] for v in code.start.nonzero_elements()]
-            self.row_logs = [table[r] for r in code.start.rows]
-        else:
-            self.u_elems = list(code.start.nonzero_elements())
-            self.u_invs = [self.ctx.inv(u) for u in self.u_elems]
+        self.u_places = [self.ctx.cycle_of(u)[:2] for u in code.start.nonzero_elements()]
 
     def _candidate(self, e: int) -> tuple[Subspace, int]:
         key = e % self.card
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        ctx = self.ctx
-        if ctx.is_primitive:
-            N = ctx.q**ctx.n - 1
-            rows = [ctx.x_power((b + key) % N) for b in self.row_logs]
-        else:
-            xe = ctx.x_power(key)
-            rows = [ctx.mul(r, xe) for r in self.code.start.rows]
-        W = Subspace.from_rows(self.code.q, self.code.n, rows)
+        W = codeword(self.code, key)
         entry = (W, intersection_dim(self.R, W))
         self.cache[key] = entry
         return entry
@@ -103,23 +93,15 @@ class _CandidateScan:
     def exponents_for(self, v):
         """Candidate exponents from pairing v with every nonzero u in U.
 
-        Yields one exponent per pair; pairs whose quotient falls outside
-        <x> (possible only for non-primitive generators) are counted as
-        examined but yield nothing.
+        Yields one exponent per pair on a common cycle; the other pairs
+        (possible only for non-primitive generators, which have several
+        cycles) are counted as examined but yield nothing.
         """
-        ctx = self.ctx
-        if ctx.is_primitive:
-            bv = ctx.dlog_table[v]
-            N = ctx.q**ctx.n - 1
-            for bu in self.u_logs:
-                self.examined += 1
-                yield (bv - bu) % N
-        else:
-            for inv_u in self.u_invs:
-                self.examined += 1
-                b = ctx.x_log(ctx.mul(v, inv_u))
-                if b is not None:
-                    yield b
+        cv, pv, r = self.ctx.cycle_of(v)
+        for cu, pu in self.u_places:
+            self.examined += 1
+            if cu == cv:
+                yield (pv - pu) % r
 
     def consider(self, e: int) -> tuple[Subspace, int]:
         W, dim = self._candidate(e)
@@ -173,12 +155,9 @@ def lf_set(basis_rows, f: int, q: int) -> list[tuple[int, ...]]:
     kp = len(rows)
     if not 0 <= f < kp:
         raise DomainError(f"need 0 <= f < k' = {kp}, got f = {f}")
-    from .linalg import _rref_rows
-
-    _, pivots = _rref_rows([list(r) for r in rows], q)
-    if len(pivots) != kp:
-        raise DomainError("basis rows are linearly dependent")
     n = len(rows[0])
+    if Subspace.from_rows(q, n, rows).dim != kp:
+        raise DomainError("basis rows are linearly dependent")
     out = []
     for s in range(1, f + 2):
         for idxs in itertools.combinations(range(kp), s):

@@ -9,6 +9,7 @@ floating point anywhere.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -318,19 +319,22 @@ def is_primitive(f: Poly) -> bool:
     return poly_order(f) == q**f.degree - 1
 
 
+def vector_from_int(code: int, q: int, n: int) -> tuple[int, ...]:
+    """The length-n vector whose integer encoding sum(c_i * q^i) is `code`."""
+    coeffs = []
+    for _ in range(n):
+        coeffs.append(code % q)
+        code //= q
+    return tuple(coeffs)
+
+
 def monic_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the given degree, ascending integer encoding."""
     if degree < 0:
         return
     q = field.q
     for m in range(q**degree):
-        coeffs = []
-        t = m
-        for _ in range(degree):
-            coeffs.append(t % q)
-            t //= q
-        coeffs.append(1)
-        yield Poly(field, tuple(coeffs))
+        yield Poly(field, vector_from_int(m, q, degree) + (1,))
 
 
 def irreducible_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
@@ -382,11 +386,13 @@ def least_primitive(field: PrimeField, degree: int) -> Poly:
 class FieldCtx:
     """Arithmetic context for F_q[x]/(f) with f monic of degree n.
 
-    Ring elements are coefficient tuples of length exactly n. The context
-    precomputes the power/discrete-log table of x eagerly when f is
-    primitive; for other moduli with f(0) != 0 the table of x-powers is
-    built on first use (x is still a unit there). `dlog_table` is None
-    unless f is primitive.
+    Ring elements are coefficient tuples of length exactly n. When
+    f(0) != 0, x is a unit and multiplication by x permutes the nonzero
+    elements; the context indexes the cycles of that permutation on first
+    use. Cycle 0 is <x> itself, so the powers of x, their logs and the
+    order of x all come from the same index. For a primitive f that is one
+    cycle, the discrete-log table, and it is built eagerly. `dlog_table`
+    is None unless f is primitive.
     """
 
     def __init__(self, modulus: Poly):
@@ -408,12 +414,16 @@ class FieldCtx:
         self.zero = (0,) * self.n
         self.one = tuple(1 if i == 0 else 0 for i in range(self.n))
         self.x = tuple(1 if i == 1 else 0 for i in range(self.n)) if self.n > 1 else self._xn_row
-        self._x_powers: list[tuple[int, ...]] | None = None
-        self._x_log: dict[tuple[int, ...], int] | None = None
-        self._orbit_of: dict[tuple[int, ...], tuple[int, int]] | None = None
-        self._orbit_reps: list[tuple[int, ...]] | None = None
+        # cycle index: slot of each nonzero element, the elements by slot,
+        # and the first slot of each cycle (plus a closing sentinel). It
+        # holds elements packed as bytes, a third of a tuple's size, when
+        # every coefficient fits in a byte.
+        self._pack = bytes if self.q < 256 else tuple
+        self._slot: dict | None = None
+        self._by_slot: list = []
+        self._starts: list[int] = []
         if self.is_primitive:
-            self._build_x_table()
+            self._build_cycles()
 
     # -- representation plumbing ------------------------------------------
 
@@ -505,97 +515,96 @@ class FieldCtx:
             e >>= 1
         return result
 
-    # -- powers of x and discrete logs ------------------------------------
+    # -- cycles of multiply-by-x on the nonzero elements --------------------
 
-    def _build_x_table(self) -> None:
+    def _build_cycles(self) -> None:
+        """Walk the cycle of 1, then the cycles of the remaining nonzero
+        elements in ascending integer encoding; each cycle takes the next
+        run of slots, its start element first."""
         if self.modulus.coeff(0) == 0:
             raise DomainError("x is not a unit mod this modulus")
-        powers = [self.one]
-        log = {self.one: 0}
-        v = self.x
-        e = 1
-        while v != self.one:
-            powers.append(v)
-            log[v] = e
-            v = self.mul_by_x(v)
-            e += 1
-            if e > self.q**self.n:
-                raise DomainError("x-power table failed to close")
-        self._x_powers = powers
-        self._x_log = log
+        q, n = self.q, self.n
+        pack = self._pack
+        slot: dict = {}
+        by_slot: list = []
+        starts: list[int] = []
+        total = q**n - 1
+        # code 1 encodes the element 1, so the first cycle walked is <x>
+        for code in range(1, total + 1):
+            if len(by_slot) == total:
+                break
+            v = vector_from_int(code, q, n)
+            if pack(v) in slot:
+                continue
+            starts.append(len(by_slot))
+            w = v
+            while True:
+                packed = pack(w)
+                slot[packed] = len(by_slot)
+                by_slot.append(packed)
+                w = self.mul_by_x(w)
+                if w == v:
+                    break
+        starts.append(len(by_slot))
+        self._slot, self._by_slot, self._starts = slot, by_slot, starts
+
+    def _index(self) -> dict:
+        if self._slot is None:
+            self._build_cycles()
+        return self._slot
+
+    def cycle_of(self, v) -> tuple[int, int, int]:
+        """(cycle id, position, cycle length) of a nonzero element v.
+
+        Position counts multiplications by x from the cycle's start
+        element; cycle 0 starts at 1, so there the position is the x-log.
+        """
+        s = self._index()[self._pack(v)]
+        starts = self._starts
+        c = bisect_right(starts, s) - 1
+        return c, s - starts[c], starts[c + 1] - starts[c]
+
+    def mul_x_power(self, v, e: int) -> tuple[int, ...]:
+        """v * x^e, read from the cycle index (e may be negative)."""
+        if not any(v):
+            return tuple(v)
+        c, pos, length = self.cycle_of(v)
+        return tuple(self._by_slot[self._starts[c] + (pos + e) % length])
 
     @property
     def x_order(self) -> int:
-        if self._x_powers is None:
-            self._build_x_table()
-        return len(self._x_powers)
+        self._index()
+        return self._starts[1]
 
     def x_power(self, e: int) -> tuple[int, ...]:
         """x^e as a ring element (e taken mod the order of x)."""
-        if self._x_powers is None:
-            self._build_x_table()
-        return self._x_powers[e % len(self._x_powers)]
+        return tuple(self._by_slot[e % self.x_order])
 
     def x_log(self, v) -> int | None:
         """Exponent e with x^e = v, or None when v is outside <x>."""
-        if self._x_log is None:
-            self._build_x_table()
-        return self._x_log.get(tuple(v))
+        s = self._index().get(self._pack(v))
+        return s if s is not None and s < self._starts[1] else None
 
     @property
     def dlog_table(self) -> dict[tuple[int, ...], int] | None:
-        """Full discrete-log table; present exactly when the modulus is primitive."""
+        """Full discrete-log table, built on each call; present exactly when
+        the modulus is primitive. For single lookups use x_log."""
         if not self.is_primitive:
             return None
-        if self._x_log is None:
-            self._build_x_table()
-        return self._x_log
-
-    # -- <x>-orbit decomposition of the nonzero elements -------------------
-
-    def _build_orbit_index(self) -> None:
-        if not self.is_irreducible:
-            raise DomainError("orbit index needs an irreducible modulus")
-        orbit_of: dict[tuple[int, ...], tuple[int, int]] = {}
-        reps: list[tuple[int, ...]] = []
-        q, n = self.q, self.n
-        for code in range(1, q**n):
-            coeffs = []
-            t = code
-            for _ in range(n):
-                coeffs.append(t % q)
-                t //= q
-            v = tuple(coeffs)
-            if v in orbit_of:
-                continue
-            oid = len(reps)
-            reps.append(v)
-            e = 0
-            w = v
-            while True:
-                orbit_of[w] = (oid, e)
-                w = self.mul_by_x(w)
-                e += 1
-                if w == v:
-                    break
-        self._orbit_of = orbit_of
-        self._orbit_reps = reps
+        return {tuple(v): s for v, s in self._slot.items()}
 
     def element_orbit(self, v) -> tuple[int, int]:
-        """(orbit id, exponent) of v under multiplication by x.
+        """(orbit id, exponent) of a nonzero v under multiplication by x.
 
-        Orbit ids are assigned by discovering representatives in ascending
-        integer encoding, so orbit 0 is always the orbit of 1.
+        Orbit ids follow the least integer encoding in each orbit, so orbit
+        0 is always the orbit of 1.
         """
-        if self._orbit_of is None:
-            self._build_orbit_index()
-        return self._orbit_of[tuple(v)]
+        return self.cycle_of(v)[:2]
 
     @property
     def orbit_count(self) -> int:
-        if self._orbit_of is None:
-            self._build_orbit_index()
-        return len(self._orbit_reps)
+        self._index()
+        return len(self._starts) - 1
 
 
 @lru_cache(maxsize=None)

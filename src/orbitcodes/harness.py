@@ -10,21 +10,14 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .analysis import (
-    CyclicOrbitCode,
-    _regime,
-    analyze,
-    analyze_naive,
-    codeword,
-    make_code,
-)
-from .canonical import ElementaryDivisorSpec, build_generator
-from .decoder import _code_info, decode_exhaustive, decode_lf
+from .analysis import CyclicOrbitCode, analyze, analyze_naive, codeword, make_code
+from .canonical import ElementaryDivisorSpec
+from .decoder import decode_exhaustive, decode_lf
 from .errors import DomainError, InternalInvariantError
 from .fields import Poly, PrimeField
-from .linalg import Subspace, _rref_rows, subspace_sum
+from .linalg import Mat, Subspace, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -39,14 +32,12 @@ class ChannelConfig:
 
 def _random_full_rank_rows(rng: random.Random, q: int, rows: int, cols: int):
     """Rejection-sample a full-rank rows x cols matrix; returns the raw
-    rows plus their RREF (free canonicalization)."""
-    if rows == 0:
-        return [], []
+    rows plus their row space (free canonicalization)."""
     while True:
         raw = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        reduced, pivots = _rref_rows([list(r) for r in raw], q)
-        if len(pivots) == rows:
-            return raw, (reduced, pivots)
+        space = Subspace.from_rows(q, cols, raw)
+        if space.dim == rows:
+            return raw, space
 
 
 def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Subspace:
@@ -134,8 +125,7 @@ class SimulationStats:
 
 
 def _simulate_range(code: CyclicOrbitCode, cfg: ChannelConfig, lo: int, hi: int) -> SimulationStats:
-    _, params = _code_info(code)
-    card = params.cardinality
+    card = analyze(code, method="fast").cardinality
     stats = SimulationStats()
     for t in range(lo, hi):
         rng = random.Random(cfg.seed ^ t)
@@ -270,14 +260,13 @@ def _search_range(
     spec = ElementaryDivisorSpec.make(
         field_, [(Poly(field_, coeffs), e) for coeffs, e in block_data]
     )
-    gen = build_generator(spec)
-    regime = _regime(spec)
+    # built once; each trial swaps in its own start
+    base_code = make_code(spec, Mat.identity(q, n).rows[:k])
     best: dict[int, tuple[int, int, tuple]] = {}
     for t in range(lo, hi):
         rng = random.Random(seed ^ t)
-        _, (rows, pivots) = _random_full_rank_rows(rng, q, k, n)
-        start = Subspace(q, n, tuple(rows), pivots)
-        code = CyclicOrbitCode(gen, start, spec, regime)
+        _, start = _random_full_rank_rows(rng, q, k, n)
+        code = replace(base_code, start=start)
         params = analyze(code, method="fast")
         if params.min_distance is None:
             continue

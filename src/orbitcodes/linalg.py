@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError, SingularMatrixError
 from .fields import FieldCtx, Poly, RingElem, divisors, phi
@@ -164,7 +163,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, q: int, n: int, rows) -> "Subspace":
-        mat = [list(int(x) % q for x in row) for row in rows]
+        mat = [[int(x) % q for x in row] for row in rows]
         if any(len(r) != n for r in mat):
             raise DomainError(f"rows must have length {n}")
         reduced, pivots = _rref_rows(mat, q)
@@ -338,14 +337,3 @@ def psi_inv(u: RingElem) -> Mat:
         rows.append(ctx.mul(ej, u.coeffs))
         ej = ctx.mul_by_x(ej)
     return Mat(ctx.q, tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def _cached_companion(q: int, coeffs: tuple[int, ...]) -> Mat:
-    from .fields import PrimeField
-
-    return companion_matrix(Poly(PrimeField(q), coeffs))
-
-
-def cached_companion(f: Poly) -> Mat:
-    return _cached_companion(f.field.q, f.monic().coeffs)

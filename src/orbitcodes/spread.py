@@ -23,6 +23,7 @@ from .fields import (
     find_irreducible_with_order,
     is_primitive,
     least_primitive,
+    vector_from_int,
 )
 from .linalg import Subspace
 
@@ -92,14 +93,6 @@ def verify_spread(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> bool:
 # -- non-primitive spreads --------------------------------------------------
 
 
-def _decode_vector(q: int, n: int, code_int: int) -> tuple[int, ...]:
-    coeffs = []
-    for _ in range(n):
-        coeffs.append(code_int % q)
-        code_int //= q
-    return tuple(coeffs)
-
-
 def distinct_orbit_start(ctx: FieldCtx, k: int) -> Subspace | None:
     """Deterministic search for a k-dim subspace whose nonzero elements lie
     in pairwise distinct <x>-orbits.
@@ -117,7 +110,7 @@ def distinct_orbit_start(ctx: FieldCtx, k: int) -> Subspace | None:
         if len(rows) == k:
             return Subspace.from_rows(q, n, rows)
         for code_int in range(next_code, total):
-            v = _decode_vector(q, n, code_int)
+            v = vector_from_int(code_int, q, n)
             if v in span_set:
                 continue
             new_elems = []

@@ -1,4 +1,4 @@
-"""Orbit enumeration, fast analyzers vs the naive oracle, bounds, duality."""
+"""Orbit enumeration, the fast analyzer vs the naive oracle, bounds, duality."""
 
 import math
 import random
@@ -187,11 +187,21 @@ _regime_specs = {
         ElementaryDivisorSpec.make(P2, [(X2_X_1, 1), (X3_X_1, 1)]),
         ElementaryDivisorSpec.make(P2, [(X2_X_1, 1), (X4_X_1, 1)]),
         ElementaryDivisorSpec.make(P3, [(poly_of(3, [1, 1]), 1), (X2_X_2_F3, 1)]),
+        # three blocks, a non-primitive block, a repeated factor
+        ElementaryDivisorSpec.make(P2, [(X2_X_1, 1), (X3_X_1, 1), (X4_X_1, 1)]),
+        ElementaryDivisorSpec.make(P2, [(X4_NONPRIM, 1), (X3_X_1, 1)]),
+        ElementaryDivisorSpec.make(P2, [(X2_X_1, 1), (X2_X_1, 1), (X3_X_1, 1)]),
     ],
     "non_semisimple": [
         ElementaryDivisorSpec.make(P2, [(X2_X_1, 2)]),
         ElementaryDivisorSpec.make(P2, [(X3_X_1, 2)]),
         ElementaryDivisorSpec.make(P3, [(X2_X_2_F3, 2)]),
+    ],
+    "general": [
+        ElementaryDivisorSpec.make(P2, [(X2_X_1, 3)]),
+        ElementaryDivisorSpec.make(P2, [(poly_of(2, [1, 1]), 3)]),
+        ElementaryDivisorSpec.make(P2, [(X2_X_1, 2), (X3_X_1, 1)]),
+        ElementaryDivisorSpec.make(P3, [(poly_of(3, [1, 1]), 2), (X2_X_2_F3, 1)]),
     ],
 }
 
@@ -386,9 +396,17 @@ def test_json_round_trip():
     [
         (lambda d: d.pop("q"), "q"),
         (lambda d: d.update(q="two"), "q"),
+        # JSON types are strict: no coercion from float, string or bool
+        pytest.param(lambda d: d.update(q=2.9), "q", id="q-float"),
+        pytest.param(lambda d: d.update(q="2"), "q", id="q-string"),
+        pytest.param(lambda d: d.update(q=True), "q", id="q-bool"),
+        pytest.param(lambda d: d.update(q=4), "q", id="q-not-prime"),
         (lambda d: d.update(blocks=[]), "blocks"),
         (lambda d: d["blocks"][0].update(poly="1 2 x"), "poly"),
         (lambda d: d["blocks"][0].update(exp="one"), "exp"),
+        pytest.param(lambda d: d["blocks"][0].update(exp=True), "exp", id="exp-bool"),
+        pytest.param(lambda d: d["blocks"][0].update(exp=1.7), "exp", id="exp-float"),
+        pytest.param(lambda d: d["blocks"][0].update(exp="1"), "exp", id="exp-string"),
         (lambda d: d.update(start=[]), "start"),
         (lambda d: d.update(start=["1 0 0 0", "1 0 0"]), "start"),
         (lambda d: d.update(shape="wedge"), "shape"),

@@ -217,8 +217,10 @@ def test_x_order_and_log():
     for e in (0, 1, 9, 18, 62):
         assert ctx.x_log(ctx.x_power(e)) == e
     assert ctx.x_log(tuple([0] * 6)) is None
+    assert ctx.dlog_table[ctx.x_power(9)] == 9
     ctx5 = field_context(X4_NONPRIM)
     assert ctx5.x_order == 5
+    assert ctx5.dlog_table is None
     # elements outside <x> have no x-log
     assert ctx5.x_log((0, 0, 1, 1)) is None
 
@@ -233,6 +235,33 @@ def test_orbit_index_partitions_nonzero_elements():
         seen.setdefault(oid, set()).add(exp)
     # exponents live mod the x-order
     assert all(all(0 <= e < 5 for e in exps) for exps in seen.values())
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1, 0, 1), (1, 1, 1, 1, 1), (1, 1, 0, 0, 1), (1, 1, 1)])
+def test_cycle_index_partitions_nonzero_elements(coeffs):
+    # (x^2+x+1)^2, a non-primitive field, a primitive field and x^2+x+1
+    ctx = field_context(Poly.make(P2, coeffs))
+    seen = set()
+    for code in range(1, 2**ctx.n):
+        v = tuple((code >> i) & 1 for i in range(ctx.n))
+        cid, pos, length = ctx.cycle_of(v)
+        seen.add((cid, pos))
+        assert 0 <= pos < length and ctx.x_order % length == 0
+        assert ctx.mul_x_power(v, 1) == ctx.mul_by_x(v)
+        assert ctx.mul_x_power(v, length) == v
+        assert ctx.mul_x_power(v, -3) == ctx.mul(v, ctx.x_power(-3))
+    assert len(seen) == 2**ctx.n - 1
+    assert ctx.cycle_of(ctx.one) == (0, 0, ctx.x_order)
+    assert ctx.mul_x_power(ctx.zero, 5) == ctx.zero
+
+
+def test_cycle_index_beyond_byte_coefficients():
+    # q = 257 does not fit a byte; x = 3 there, a primitive root mod 257
+    ctx = field_context(poly_of(257, [-3, 1]))
+    assert ctx.x_order == 256
+    assert ctx.x_power(5) == (3**5 % 257,)
+    assert ctx.x_log((3**5 % 257,)) == 5
+    assert ctx.dlog_table[(1,)] == 0
 
 
 def _orbit_base(ctx, oid):

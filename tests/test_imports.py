@@ -1,0 +1,21 @@
+"""Package hygiene: modules use each other only through public names."""
+
+import ast
+from pathlib import Path
+
+import orbitcodes
+
+PACKAGE_DIR = Path(orbitcodes.__file__).resolve().parent
+
+
+def test_no_private_cross_module_imports():
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [
+                    f"{path.name}:{node.lineno} from {'.' * node.level}{node.module or ''} import {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)
