@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .canonical import ElementaryDivisorSpec, poly_pow
 from .errors import (
@@ -29,8 +30,8 @@ from .errors import (
     OrbitCapError,
     ShapeMismatchError,
 )
-from .fields import FieldCtx, Poly, PrimeField, field_context
-from .linalg import Mat, Subspace, matrix_order, row_times_mat, subspace_distance
+from .fields import FieldCtx, Poly, PrimeField, field_context, lanes
+from .linalg import Mat, Subspace, matrix_order, row_times_mat
 
 ORBIT_CAP = 2**20
 
@@ -143,26 +144,41 @@ def _block_contexts(spec: ElementaryDivisorSpec) -> tuple[tuple[int, int, FieldC
     return tuple(out)
 
 
+@lru_cache(maxsize=128)
+def _packed_blocks(spec: ElementaryDivisorSpec) -> tuple[tuple[int, int, FieldCtx], ...]:
+    """(bit offset, bit mask, context) of each block of a packed vector."""
+    w = lanes(spec.field.q, spec.n).w
+    return tuple(
+        (off * w, (1 << (width * w)) - 1, ctx) for off, width, ctx in _block_contexts(spec)
+    )
+
+
 def _make_stepper(code: CyclicOrbitCode):
-    """Returns rows -> rows after one application of the generator."""
+    """Returns packed rows -> packed rows after one application of the
+    generator: one multiply-by-x per block, or a matrix product for a bare
+    matrix. It reads no cycle index."""
     if code.block_structure is None:
-        gen = code.generator
+        L, gen = lanes(code.q, code.n), code.generator
 
-        def step(rows):
-            return [row_times_mat(r, gen) for r in rows]
+        def step_row(v):
+            return L.pack(row_times_mat(L.unpack(v), gen))
 
-        return step
+    else:
+        blocks = [
+            (s, mask, ctx.mul_by_x_code) for s, mask, ctx in _packed_blocks(code.block_structure)
+        ]
+        if len(blocks) == 1:
+            step_row = blocks[0][2]
+        else:
 
-    blocks = _block_contexts(code.block_structure)
+            def step_row(v):
+                out = 0
+                for s, mask, mul_x in blocks:
+                    out |= mul_x((v >> s) & mask) << s
+                return out
 
     def step(rows):
-        out = []
-        for r in rows:
-            parts = []
-            for off, width, ctx in blocks:
-                parts.extend(ctx.mul_by_x(r[off : off + width]))
-            out.append(tuple(parts))
-        return out
+        return [step_row(v) for v in rows]
 
     return step
 
@@ -171,54 +187,64 @@ def codeword(code: CyclicOrbitCode, exponent: int) -> Subspace:
     """The orbit element U M^exponent, canonicalized."""
     if code.block_structure is None:
         return code.start.transform(code.generator**exponent)
-    blocks = _block_contexts(code.block_structure)
+    blocks = _packed_blocks(code.block_structure)
     rows = []
-    for r in code.start.rows:
-        parts = []
-        for off, width, ctx in blocks:
-            parts.extend(ctx.mul_x_power(r[off : off + width], exponent))
-        rows.append(parts)
-    return Subspace.from_rows(code.q, code.n, rows)
+    for v in code.start.codes:
+        out = 0
+        for s, mask, ctx in blocks:
+            out |= ctx.mul_x_power_code((v >> s) & mask, exponent) << s
+        rows.append(out)
+    return Subspace.from_packed(code.q, code.n, rows)
+
+
+def _walk(code: CyclicOrbitCode, cap: int):
+    """Yields (packed rows of UM^h, r) for h = 1, 2, ... until UM^h = U.
+
+    The rows are reduced against RREF(U); what is left has rank
+    r = k - dim(U cap UM^h), and r = 0 means the orbit has closed. An
+    orbit of more than `cap` codewords raises OrbitCapError.
+    """
+    step = _make_stepper(code)
+    start = code.start
+    rows = start.codes
+    h = 1
+    while True:
+        rows = step(rows)
+        r = start.residual_rank(rows)
+        if not r:
+            return
+        if h >= cap:
+            raise OrbitCapError(f"orbit exceeds the cap of {cap} subspaces")
+        yield rows, r
+        h += 1
 
 
 def enumerate_orbit(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> list[Subspace]:
     """[U, UM, UM^2, ...] up to the first repeat of U; all canonical."""
-    step = _make_stepper(code)
-    start = code.start
-    out = [start]
-    rows = list(start.rows)
-    while True:
-        rows = step(rows)
-        sub = Subspace.from_rows(code.q, code.n, rows)
-        if sub == start:
-            return out
-        out.append(sub)
-        if len(out) > cap:
-            raise OrbitCapError(f"orbit exceeds the cap of {cap} subspaces")
-        rows = list(sub.rows)
+    return [code.start] + [
+        Subspace.from_packed(code.q, code.n, rows) for rows, _ in _walk(code, cap)
+    ]
 
 
 def analyze_naive(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> CodeParams:
-    """Exhaustive orbit enumeration. Distances are measured from the start
-    subspace only; the transversal argument makes that the full picture."""
-    orbit = enumerate_orbit(code, cap=cap)
+    """Exhaustive orbit walk. Distances are measured from the start
+    subspace only; the transversal argument makes that the full picture.
+    Each step multiplies k packed rows by the generator and reads the
+    distance 2r of UM^h from the start off their residual (see _walk); no
+    Subspace is built and no cycle index is read."""
     k = code.k
-    dist = [0] * (k + 1)
-    dist[0] = 1
-    best = None
-    for W in orbit[1:]:
-        d = subspace_distance(code.start, W)
-        dist[d // 2] += 1
-        if best is None or d < best:
-            best = d
-    return CodeParams(len(orbit), best, tuple(dist))
+    dist = [1] + [0] * k
+    for _, r in _walk(code, cap):
+        dist[r] += 1
+    best = next((2 * r for r in range(1, k + 1) if dist[r]), None)
+    return CodeParams(sum(dist), best, tuple(dist))
 
 
 # -- the fast analyzer -------------------------------------------------------
 
 
-def _place(v, blocks) -> tuple[tuple, int, int]:
-    """(M-cycle key, position P, cycle length L) of a nonzero vector v.
+def _place(v: int, blocks) -> tuple[tuple, int, int]:
+    """(M-cycle key, position P, cycle length L) of a nonzero packed vector v.
 
     Per live block, v's part has a cycle id, a position e and a length m,
     and vM^h = w needs h = e_w - e_v mod m in every live block. The
@@ -230,12 +256,17 @@ def _place(v, blocks) -> tuple[tuple, int, int]:
     """
     key = []
     P, L = 0, 1
-    for off, width, ctx in blocks:
-        part = v[off : off + width]
-        if not any(part):
+    for s, mask, cycle_of in blocks:
+        part = (v >> s) & mask
+        if not part:
             key.append(None)
             continue
-        cid, e, m = ctx.cycle_of(part)
+        cid, e, m = cycle_of(part)
+        if L == 1:
+            # the first live block: the CRT below reduces to P, L = e, m
+            P, L = e, m
+            key.append((cid, 0))
+            continue
         g = math.gcd(L, m)
         shift = (P - e) % g
         mg = m // g
@@ -256,45 +287,74 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
     their lcm.
     """
     q, k = code.q, code.k
-    blocks = _block_contexts(code.block_structure)
+    blocks = [
+        (s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(code.block_structure)
+    ]
     groups: dict[tuple, tuple[int, list[int]]] = {}
-    for v in code.start.nonzero_elements():
+    # U's nonzero elements, packed; the zero combination comes first
+    for v in code.start.element_codes()[1:]:
         key, P, L = _place(v, blocks)
         groups.setdefault(key, (L, []))[1].append(P)
     cardinality = 1
-    diffs = []
+    cycles = []
     for L, ps in groups.values():
-        cnt = Counter((pw - pv) % L for pv in ps for pw in ps)
-        # a shift maps the positions onto themselves iff every one of the
-        # len(ps) pairs it moves lands on a position
-        period = min(
-            (d for d in {(p - ps[0]) % L for p in ps} if d and cnt[d] == len(ps)),
-            default=L,
-        )
+        # count(d) on this M-cycle is the number of ordered pairs of its
+        # positions that differ by d mod L (distinct elements have distinct
+        # positions). It is symmetric, count(d) = count(L - d), so each pair
+        # a < b is counted once, at the smaller of b - a and L - (b - a);
+        # a pair at exactly L/2 stands for both orders.
+        ps.sort()
+        half = L // 2
+        cnt = Counter([b - a if b - a <= half else L - b + a for a, b in combinations(ps, 2)])
+        if L % 2 == 0 and half in cnt:
+            cnt[half] *= 2
+        n = len(ps)
+        # a shift maps the positions onto themselves iff every one of the n
+        # pairs it moves lands on a position; the least one divides L
+        period = L
+        if cnt and max(cnt.values()) == n:
+            period = next(d for d in (p - ps[0] for p in ps[1:]) if d <= half and cnt[d] == n)
         cardinality = math.lcm(cardinality, period)
-        diffs.append((L, cnt))
-    # count(h) for the 0 < h < cardinality where it is nonzero; count has
-    # period cardinality, so these h cover every other codeword
-    per_h: Counter = Counter()
-    for L, cnt in diffs:
-        if L % cardinality:
-            per_h.update({h: c for d, c in cnt.items() for h in range(d, cardinality, L)})
-        else:
-            # every h < cardinality <= L is its own residue mod L
-            per_h.update({d: c for d, c in cnt.items() if d < cardinality})
-    del per_h[0]
-    # count(h) + 1 = q^dim(U cap UM^h), and UM^h lies at distance 2(k - dim)
-    dim_of = {q**d - 1: d for d in range(k + 1)}
-    dist = [0] * (k + 1)
-    dist[0] = 1
-    dist[k] = cardinality - 1 - len(per_h)
+        cycles.append((L, n, cnt))
+    if cardinality == 1:
+        return CodeParams(1, None, (1,) + (0,) * k if with_distribution else None)
+    if not with_distribution and len(cycles) == 1:
+        # count has period cardinality, so off the multiples of the
+        # cardinality (U itself) this cycle's counts are the values count
+        # takes for 0 < h < cardinality
+        L, _, counts = cycles[0]
+        for d in range(cardinality, L // 2 + 1, cardinality):
+            del counts[d]
+    else:
+        # count(h) for the 0 < h < cardinality where it is nonzero; count
+        # has period cardinality, so these h cover every other codeword
+        counts = Counter()
+        for L, n, cnt in cycles:
+            full = {0: n}
+            for d, c in cnt.items():
+                full[d] = full[L - d] = c
+            if L % cardinality:
+                counts.update({h: c for d, c in full.items() for h in range(d, cardinality, L)})
+            else:
+                # every h < cardinality <= L is its own residue mod L
+                counts.update({d: c for d, c in full.items() if d < cardinality})
+        del counts[0]
+    # count(h) + 1 = q^dim(U cap UM^h) with dim < k for 0 < h < cardinality,
+    # and UM^h lies at distance 2(k - dim)
+    dim_of = {q**d - 1: d for d in range(k)}
     try:
-        for c, times in Counter(per_h.values()).items():
+        if not with_distribution:
+            # the nearest codeword shares the most with U
+            return CodeParams(cardinality, 2 * (k - dim_of[max(counts.values(), default=0)]))
+        dist = [0] * (k + 1)
+        dist[0] = 1
+        dist[k] = cardinality - 1 - len(counts)
+        for c, times in Counter(counts.values()).items():
             dist[k - dim_of[c]] += times
     except KeyError:
-        raise InternalInvariantError("a pair count is not q^dim - 1") from None
+        raise InternalInvariantError("a pair count is not q^dim - 1 with dim < k") from None
     min_distance = next((2 * i for i in range(1, k + 1) if dist[i]), None)
-    return CodeParams(cardinality, min_distance, tuple(dist) if with_distribution else None)
+    return CodeParams(cardinality, min_distance, tuple(dist))
 
 
 def analyze(

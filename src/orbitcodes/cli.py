@@ -139,9 +139,15 @@ def cmd_spread(args) -> int:
     return 0
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
+
+
 def cmd_search(args) -> int:
     if args.q is None or args.n is None or args.k is None:
         raise DomainError("search needs --q, --n and --k")
+    _check_jobs(args)
     field = PrimeField(args.q)
     if args.poly:
         p = _poly_from_args(args.q, args.poly)
@@ -184,6 +190,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_jobs(args)
     code, _ = _load_code(args.code)
     cfg = ChannelConfig(erasures=args.erasures, errors=args.errors, seed=args.seed)
     stats = simulate_decoding(code, cfg, trials=args.trials, jobs=args.jobs)
@@ -490,7 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
             p.add_argument("--trials", type=int, default=1000)
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                help="trial chunks, run on at most one process per CPU; "
+                "the output does not depend on it",
+            )
 
     p = sub.add_parser("analyze", help="cardinality/distance of a code spec")
     add_common(p, code=True)

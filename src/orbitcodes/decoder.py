@@ -78,7 +78,7 @@ class _CandidateScan:
         self.cache: dict[int, tuple[Subspace, int]] = {}
         self.best_dim = 0
         self.best_exps: set[int] = set()
-        self.u_places = [self.ctx.cycle_of(u)[:2] for u in code.start.nonzero_elements()]
+        self.u_places = [self.ctx.cycle_of_code(u)[:2] for u in code.start.element_codes()[1:]]
 
     def _candidate(self, e: int) -> tuple[Subspace, int]:
         key = e % self.card
@@ -90,14 +90,15 @@ class _CandidateScan:
         self.cache[key] = entry
         return entry
 
-    def exponents_for(self, v):
-        """Candidate exponents from pairing v with every nonzero u in U.
+    def exponents_for(self, v: int):
+        """Candidate exponents from pairing a packed v with every nonzero u
+        in U.
 
         Yields one exponent per pair on a common cycle; the other pairs
         (possible only for non-primitive generators, which have several
         cycles) are counted as examined but yield nothing.
         """
-        cv, pv, r = self.ctx.cycle_of(v)
+        cv, pv, r = self.ctx.cycle_of_code(v)
         for cu, pu in self.u_places:
             self.examined += 1
             if cu == cv:
@@ -138,7 +139,7 @@ def decode_exhaustive(R: Subspace, code: CyclicOrbitCode) -> DecodeResult:
     through unique=False with the smallest tied exponent."""
     _check_received(R, code)
     scan = _CandidateScan(R, code)
-    for v in R.nonzero_elements():
+    for v in R.element_codes()[1:]:
         for e in scan.exponents_for(v):
             scan.consider(e)
     return scan.result()
@@ -209,8 +210,9 @@ def decode_lf(R: Subspace, code: CyclicOrbitCode, f: int | None = None) -> Decod
     exit_dim = None
     if delta is not None:
         exit_dim = math.ceil((k + kp - delta + 1) / 2)
+    pack = scan.ctx.lanes.pack
     for v in lf_set(R.rows, f, code.q):
-        for e in scan.exponents_for(v):
+        for e in scan.exponents_for(pack(v)):
             _, dim = scan.consider(e)
             if exit_dim is not None and dim >= exit_dim:
                 W, dim = scan.cache[e % scan.card]

@@ -2,13 +2,17 @@
 
 Elements of a quotient ring are fixed-length coefficient tuples (ascending
 powers of x, length = deg f), which makes them directly interchangeable with
-row vectors of F_q^n. All arithmetic is exact integer arithmetic mod q; no
+row vectors of F_q^n. Inner loops carry the same vectors packed into one
+int each (Lanes). All arithmetic is exact integer arithmetic mod q; no
 floating point anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,6 +22,9 @@ from .errors import DomainError, NoSuchPolynomialError, NonUnitError
 
 # Degree of the zero polynomial; compares below every integer.
 NEG_INF = float("-inf")
+
+# Most nonzero elements a cycle index may hold (q^n - 1 for degree n).
+CYCLE_INDEX_LIMIT = 2**22
 
 
 def _is_prime(m: int) -> bool:
@@ -328,6 +335,89 @@ def vector_from_int(code: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+class Lanes:
+    """Vectors of F_q^n packed into one int, for the inner loops.
+
+    Coordinate i sits in lane i, bits [w*i, w*i + w). For q = 2 a lane is
+    one bit, so a vector is its bitmask and adding is XOR. For odd q a lane
+    holds the sum of two coordinates below a guard bit, so two vectors add
+    mod q with a few whole-int operations and no per-coordinate loop.
+    Public types stay tuples; pack and unpack convert at the boundary.
+    """
+
+    def __init__(self, q: int, n: int):
+        self.q = q
+        self.w = w = 1 if q == 2 else (2 * q - 2).bit_length() + 1
+        self.m = (1 << w) - 1
+        self.shifts = tuple(range(0, w * n, w))
+        if q == 2:
+            self.add = operator.xor
+        else:
+            guards = sum(1 << (s + w - 1) for s in self.shifts)
+            qs = sum(q << s for s in self.shifts)
+            down = w - 1
+
+            def add(a: int, b: int) -> int:
+                s = a + b
+                # a guard bit survives subtracting q exactly in lanes >= q
+                g = ((s | guards) - qs) & guards
+                return s - ((g - (g >> down)) & qs)
+
+            self.add = add
+
+    def pack(self, v) -> int:
+        """The packed form of a length-n vector, coordinates taken mod q."""
+        q, w = self.q, self.w
+        code = 0
+        for x in reversed(v):
+            code = (code << w) | (int(x) % q)
+        return code
+
+    def unpack(self, code: int) -> tuple[int, ...]:
+        m = self.m
+        return tuple([(code >> s) & m for s in self.shifts])
+
+    def scale(self, code: int, c: int) -> int:
+        """c times a packed vector, by doubling (c in range(q))."""
+        if c == 1:
+            return code
+        add = self.add
+        out = 0
+        while c:
+            if c & 1:
+                out = add(out, code)
+            c >>= 1
+            if c:
+                code = add(code, code)
+        return out
+
+    def span(self, rows) -> list[int]:
+        """All q^k combinations sum(c_i * rows[i]) in itertools.product
+        order of (c_0, ..., c_{k-1}), built by doubling: each row, from the
+        last, adds q - 1 shifted copies of everything built so far."""
+        add = self.add
+        out = [0]
+        for r in reversed(rows):
+            block = out
+            grown = list(out)
+            for _ in range(self.q - 1):
+                block = [add(x, r) for x in block]
+                grown += block
+            out = grown
+        return out
+
+    def ascending(self) -> Iterator[int]:
+        """Every code, in ascending integer encoding sum(c_i * q^i)."""
+        digits = [[c << s for c in range(self.q)] for s in reversed(self.shifts)]
+        return map(sum, itertools.product(*digits))
+
+
+@lru_cache(maxsize=None)
+def lanes(q: int, n: int) -> Lanes:
+    """The shared packing of F_q^n."""
+    return Lanes(q, n)
+
+
 def monic_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the given degree, ascending integer encoding."""
     if degree < 0:
@@ -392,7 +482,9 @@ class FieldCtx:
     use. Cycle 0 is <x> itself, so the powers of x, their logs and the
     order of x all come from the same index. For a primitive f that is one
     cycle, the discrete-log table, and it is built eagerly. `dlog_table`
-    is None unless f is primitive.
+    is None unless f is primitive. The index holds packed codes (see
+    Lanes); the *_code methods take and return them, the others tuples.
+    An index over more than CYCLE_INDEX_LIMIT elements is refused.
     """
 
     def __init__(self, modulus: Poly):
@@ -414,13 +506,17 @@ class FieldCtx:
         self.zero = (0,) * self.n
         self.one = tuple(1 if i == 0 else 0 for i in range(self.n))
         self.x = tuple(1 if i == 1 else 0 for i in range(self.n)) if self.n > 1 else self._xn_row
-        # cycle index: slot of each nonzero element, the elements by slot,
-        # and the first slot of each cycle (plus a closing sentinel). It
-        # holds elements packed as bytes, a third of a tuple's size, when
-        # every coefficient fits in a byte.
-        self._pack = bytes if self.q < 256 else tuple
-        self._slot: dict | None = None
-        self._by_slot: list = []
+        self.lanes = lanes(self.q, self.n)
+        # multiply-by-x on codes: shift every lane up one and fold the lane
+        # that falls off the top back in as c * x^n
+        self._top = self.lanes.shifts[-1]
+        self._mask = (1 << (self._top + self.lanes.w)) - 1
+        xn = self.lanes.pack(self._xn_row)
+        self._xn_multiples = [self.lanes.scale(xn, c) for c in range(self.q)]
+        # cycle index: slot of each nonzero code, the codes by slot, and the
+        # first slot of each cycle (plus a closing sentinel)
+        self._slot = None
+        self._by_slot = array("q")
         self._starts: list[int] = []
         if self.is_primitive:
             self._build_cycles()
@@ -476,6 +572,12 @@ class FieldCtx:
             return shifted
         return tuple((s + carry * r) % q for s, r in zip(shifted, self._xn_row))
 
+    def mul_by_x_code(self, code: int) -> int:
+        """mul_by_x on a packed element."""
+        carry = code >> self._top
+        code = (code << self.lanes.w) & self._mask
+        return self.lanes.add(code, self._xn_multiples[carry]) if carry else code
+
     def mul(self, a, b) -> tuple[int, ...]:
         # schoolbook product then reduction; n <= 12 keeps this cheap
         prod = (self.to_poly(a) * self.to_poly(b)) % self.modulus
@@ -524,52 +626,71 @@ class FieldCtx:
         if self.modulus.coeff(0) == 0:
             raise DomainError("x is not a unit mod this modulus")
         q, n = self.q, self.n
-        pack = self._pack
-        slot: dict = {}
-        by_slot: list = []
-        starts: list[int] = []
         total = q**n - 1
-        # code 1 encodes the element 1, so the first cycle walked is <x>
-        for code in range(1, total + 1):
+        if total > CYCLE_INDEX_LIMIT:
+            raise DomainError(
+                f"the cycle index of GF({q})[x]/({self.modulus}) (q={q}, degree {n}) "
+                f"would hold {total} elements, above the limit of {CYCLE_INDEX_LIMIT}"
+            )
+        size = 1 << (self._top + self.lanes.w)
+        if size <= 2 * (total + 1):
+            # the codes fill most of range(size): a flat table, -1 = no slot
+            slot = array("i", [-1]) * size
+            seen = lambda code: slot[code] >= 0  # noqa: E731
+        else:
+            slot = {}
+            seen = slot.__contains__
+        by_slot = array("q")
+        starts: list[int] = []
+        mul_x = self.mul_by_x_code
+        # the first code is 1, the element 1, so the first cycle is <x>
+        for v in itertools.islice(self.lanes.ascending(), 1, None):
             if len(by_slot) == total:
                 break
-            v = vector_from_int(code, q, n)
-            if pack(v) in slot:
+            if seen(v):
                 continue
             starts.append(len(by_slot))
             w = v
             while True:
-                packed = pack(w)
-                slot[packed] = len(by_slot)
-                by_slot.append(packed)
-                w = self.mul_by_x(w)
+                slot[w] = len(by_slot)
+                by_slot.append(w)
+                w = mul_x(w)
                 if w == v:
                     break
         starts.append(len(by_slot))
         self._slot, self._by_slot, self._starts = slot, by_slot, starts
 
-    def _index(self) -> dict:
+    def _index(self):
         if self._slot is None:
             self._build_cycles()
         return self._slot
 
-    def cycle_of(self, v) -> tuple[int, int, int]:
-        """(cycle id, position, cycle length) of a nonzero element v.
+    def cycle_of_code(self, code: int) -> tuple[int, int, int]:
+        """(cycle id, position, cycle length) of a nonzero packed element.
 
         Position counts multiplications by x from the cycle's start
         element; cycle 0 starts at 1, so there the position is the x-log.
         """
-        s = self._index()[self._pack(v)]
+        if not code:
+            raise DomainError("zero lies on no cycle of multiplication by x")
+        s = self._index()[code]
         starts = self._starts
         c = bisect_right(starts, s) - 1
         return c, s - starts[c], starts[c + 1] - starts[c]
 
+    def cycle_of(self, v) -> tuple[int, int, int]:
+        """cycle_of_code for a coefficient tuple."""
+        return self.cycle_of_code(self.lanes.pack(v))
+
+    def mul_x_power_code(self, code: int, e: int) -> int:
+        """code * x^e, read from the cycle index (e may be negative)."""
+        if not code:
+            return 0
+        c, pos, length = self.cycle_of_code(code)
+        return self._by_slot[self._starts[c] + (pos + e) % length]
+
     def mul_x_power(self, v, e: int) -> tuple[int, ...]:
-        """v * x^e, read from the cycle index (e may be negative)."""
-        if not any(v):
-            return tuple(v)
-        c, pos, length = self.cycle_of(v)
-        return tuple(self._by_slot[self._starts[c] + (pos + e) % length])
+        return self.lanes.unpack(self.mul_x_power_code(self.lanes.pack(v), e))
 
     @property
     def x_order(self) -> int:
@@ -578,12 +699,15 @@ class FieldCtx:
 
     def x_power(self, e: int) -> tuple[int, ...]:
         """x^e as a ring element (e taken mod the order of x)."""
-        return tuple(self._by_slot[e % self.x_order])
+        return self.lanes.unpack(self._by_slot[e % self.x_order])
 
     def x_log(self, v) -> int | None:
         """Exponent e with x^e = v, or None when v is outside <x>."""
-        s = self._index().get(self._pack(v))
-        return s if s is not None and s < self._starts[1] else None
+        code = self.lanes.pack(v)
+        if not code:
+            return None
+        s = self._index()[code]
+        return s if s < self._starts[1] else None
 
     @property
     def dlog_table(self) -> dict[tuple[int, ...], int] | None:
@@ -591,7 +715,8 @@ class FieldCtx:
         the modulus is primitive. For single lookups use x_log."""
         if not self.is_primitive:
             return None
-        return {tuple(v): s for v, s in self._slot.items()}
+        unpack = self.lanes.unpack
+        return {unpack(code): s for s, code in enumerate(self._by_slot)}
 
     def element_orbit(self, v) -> tuple[int, int]:
         """(orbit id, exponent) of a nonzero v under multiplication by x.

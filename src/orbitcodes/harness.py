@@ -8,9 +8,9 @@ identical streams and merge deterministically by trial index.
 
 from __future__ import annotations
 
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .analysis import CyclicOrbitCode, analyze, analyze_naive, codeword, make_code
 from .canonical import ElementaryDivisorSpec
@@ -28,6 +28,18 @@ class ChannelConfig:
     erasures: int
     errors: int
     seed: int
+
+
+def _pool(jobs: int):
+    """A process pool for `jobs` chunks, with at most one worker per CPU.
+
+    Chunks, not workers, fix the trial split, so the output does not
+    depend on the CPU count. The import waits for first use: it pulls in
+    multiprocessing, which a serial run never needs.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
 
 
 def _random_full_rank_rows(rng: random.Random, q: int, rows: int, cols: int):
@@ -158,7 +170,7 @@ def simulate_decoding(
         return _simulate_range(code, cfg, 0, trials)
     stats = SimulationStats()
     bounds = [(i * trials) // jobs for i in range(jobs + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with _pool(jobs) as pool:
         futures = [
             pool.submit(_simulate_range, code, cfg, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
@@ -266,7 +278,7 @@ def _search_range(
     for t in range(lo, hi):
         rng = random.Random(seed ^ t)
         _, start = _random_full_rank_rows(rng, q, k, n)
-        code = replace(base_code, start=start)
+        code = CyclicOrbitCode(base_code.generator, start, spec, base_code.regime)
         params = analyze(code, method="fast")
         if params.min_distance is None:
             continue
@@ -309,7 +321,7 @@ def random_search(
     else:
         bounds = [(i * trials) // jobs for i in range(jobs + 1)]
         best = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _pool(jobs) as pool:
             futures = [
                 pool.submit(_search_range, q, k, n, block_data, lo, hi, seed)
                 for lo, hi in zip(bounds, bounds[1:])

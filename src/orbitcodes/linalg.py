@@ -8,39 +8,54 @@ keys. Row vectors act on matrices from the left throughout (v M, U A).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, SingularMatrixError
-from .fields import FieldCtx, Poly, RingElem, divisors, phi
+from .fields import FieldCtx, Lanes, Poly, RingElem, divisors, lanes, phi
 
 Row = tuple[int, ...]
 
 
-def _rref_rows(rows: list[list[int]], q: int) -> tuple[list[Row], tuple[int, ...]]:
-    """In-place Gauss-Jordan; returns the nonzero RREF rows and pivot columns."""
-    if not rows:
-        return [], ()
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+def _rref_rows(codes, lanes_: Lanes) -> tuple[list[int], tuple[int, ...]]:
+    """Gauss-Jordan on packed rows: the nonzero RREF rows in pivot order,
+    and their pivot columns.
+
+    Rows enter one at a time. Each is reduced against the pivot rows so
+    far; if anything is left, its lowest lane is a new pivot, which is
+    scaled to 1 and cleared from the earlier rows. That keeps every row's
+    leading lane at its pivot, so the result is the unique RREF.
+    """
+    q, w, m = lanes_.q, lanes_.w, lanes_.m
+    add, scale = lanes_.add, lanes_.scale
+    piv: dict[int, int] = {}  # bit offset of the pivot lane -> row
+    for v in codes:
+        for s, r in piv.items():
+            c = (v >> s) & m
+            if c:
+                # subtract c * r, which is adding r when c = q - 1
+                v = add(v, r if c == q - 1 else scale(r, q - c))
+        if not v:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], q - 2, q)
-        if inv != 1:
-            rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % q for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], tuple(pivots)
+        s = (v & -v).bit_length() - 1
+        s -= s % w
+        c = (v >> s) & m
+        if c != 1:
+            v = scale(v, pow(c, -1, q))
+        for t, r in piv.items():
+            c = (r >> s) & m
+            if c:
+                piv[t] = add(r, v if c == q - 1 else scale(v, q - c))
+        piv[s] = v
+    order = sorted(piv)
+    return [piv[s] for s in order], tuple(s // w for s in order)
+
+
+def _rref_tuples(rows, q: int, ncols: int) -> tuple[list[Row], tuple[int, ...]]:
+    """_rref_rows for rows given as sequences of ints."""
+    L = lanes(q, ncols)
+    reduced, pivots = _rref_rows([L.pack(r) for r in rows], L)
+    return [L.unpack(c) for c in reduced], pivots
 
 
 @dataclass(frozen=True)
@@ -117,8 +132,7 @@ class Mat:
         return Mat(self.q, tuple(zip(*self.rows)))
 
     def rank(self) -> int:
-        _, pivots = _rref_rows([list(r) for r in self.rows], self.q)
-        return len(pivots)
+        return len(_rref_tuples(self.rows, self.q, self.ncols)[1])
 
     def inverse(self) -> "Mat":
         n = self.nrows
@@ -126,7 +140,7 @@ class Mat:
             raise SingularMatrixError("inverse of a non-square matrix")
         q = self.q
         aug = [list(self.rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        reduced, pivots = _rref_rows(aug, q)
+        reduced, pivots = _rref_tuples(aug, q, 2 * n)
         if len(pivots) != n or pivots != tuple(range(n)):
             raise SingularMatrixError("matrix is singular")
         return Mat(q, tuple(row[n:] for row in reduced))
@@ -141,7 +155,7 @@ def row_times_mat(v: Row, M: Mat) -> Row:
 
 def rref(M: Mat) -> tuple[Mat, int]:
     """Reduced row echelon form (same shape, zero rows at the bottom) and rank."""
-    reduced, pivots = _rref_rows([list(r) for r in M.rows], M.q)
+    reduced, pivots = _rref_tuples(M.rows, M.q, M.ncols)
     rank = len(pivots)
     pad = tuple((0,) * M.ncols for _ in range(M.nrows - rank))
     return Mat(M.q, tuple(reduced) + pad), rank
@@ -152,8 +166,9 @@ class Subspace:
     """A subspace of F_q^n in canonical form.
 
     `rows` is the unique RREF basis (no zero rows), so equal subspaces are
-    equal objects. Construct through from_rows/from_matrix; the raw
-    constructor trusts its input.
+    equal objects. Construct through from_rows/from_packed/from_matrix;
+    the raw constructor trusts its input. `codes` holds the same rows
+    packed (see fields.Lanes).
     """
 
     q: int
@@ -163,15 +178,31 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, q: int, n: int, rows) -> "Subspace":
-        mat = [[int(x) % q for x in row] for row in rows]
-        if any(len(r) != n for r in mat):
-            raise DomainError(f"rows must have length {n}")
-        reduced, pivots = _rref_rows(mat, q)
-        return cls(q, n, tuple(reduced), pivots)
+        L = lanes(q, n)
+        codes = []
+        for row in rows:
+            if len(row) != n:
+                raise DomainError(f"rows must have length {n}")
+            codes.append(L.pack(row))
+        return cls.from_packed(q, n, codes)
+
+    @classmethod
+    def from_packed(cls, q: int, n: int, codes) -> "Subspace":
+        """The row space of packed rows of F_q^n."""
+        L = lanes(q, n)
+        reduced, pivots = _rref_rows(codes, L)
+        sub = cls(q, n, tuple([L.unpack(c) for c in reduced]), pivots)
+        object.__setattr__(sub, "codes", tuple(reduced))
+        return sub
 
     @classmethod
     def from_matrix(cls, M: Mat) -> "Subspace":
         return cls.from_rows(M.q, M.ncols, M.rows)
+
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        pack = lanes(self.q, self.n).pack
+        return tuple([pack(r) for r in self.rows])
 
     @property
     def dim(self) -> int:
@@ -181,35 +212,59 @@ class Subspace:
     def matrix(self) -> Mat:
         return Mat(self.q, self.rows)
 
-    def contains(self, v) -> bool:
+    @cached_property
+    def _eliminators(self) -> tuple[tuple[int, list[int]], ...]:
+        """(bit offset of the pivot lane, [-c * row for c in range(q)]) per
+        basis row: subtracting entry c clears a c in the pivot lane."""
+        L = lanes(self.q, self.n)
         q = self.q
-        w = [int(x) % q for x in v]
-        if len(w) != self.n:
+        return tuple(
+            (p * L.w, [L.scale(r, (q - c) % q) for c in range(q)])
+            for r, p in zip(self.codes, self.pivots)
+        )
+
+    def residual_rank(self, codes) -> int:
+        """dim(self + span(codes)) - dim(self) for packed rows of F_q^n:
+        the rank of what is left of the rows after reducing them against
+        this RREF basis."""
+        L = lanes(self.q, self.n)
+        m, add = L.m, L.add
+        eliminators = self._eliminators
+        left = []
+        for v in codes:
+            for s, negs in eliminators:
+                c = (v >> s) & m
+                if c:
+                    v = add(v, negs[c])
+            if v:
+                left.append(v)
+        return len(_rref_rows(left, L)[1]) if left else 0
+
+    def contains(self, v) -> bool:
+        if len(v) != self.n:
             raise DomainError("vector/ambient dimension mismatch")
-        for row, p in zip(self.rows, self.pivots):
-            c = w[p]
-            if c:
-                w = [(a - c * b) % q for a, b in zip(w, row)]
-        return not any(w)
+        return not self.residual_rank([lanes(self.q, self.n).pack(v)])
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
 
     def elements(self):
-        """Every vector of the subspace (q^dim of them), zero included."""
-        q = self.q
-        for coeffs in itertools.product(range(q), repeat=self.dim):
-            v = [0] * self.n
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    for j, x in enumerate(row):
-                        v[j] = (v[j] + c * x) % q
-            yield tuple(v)
+        """Every vector of the subspace (q^dim of them), zero included, in
+        itertools.product order of the coefficients on the basis rows."""
+        unpack = lanes(self.q, self.n).unpack
+        for code in self.element_codes():
+            yield unpack(code)
+
+    def element_codes(self) -> list[int]:
+        """elements(), packed."""
+        return lanes(self.q, self.n).span(self.codes)
 
     def nonzero_elements(self):
-        for v in self.elements():
-            if any(v):
-                yield v
+        # the basis is independent, so only the all-zero combination,
+        # which comes first, is the zero vector
+        it = self.elements()
+        next(it)
+        yield from it
 
     def transform(self, M: Mat) -> "Subspace":
         """The image subspace { uM : u in U }, canonicalized."""
@@ -223,17 +278,11 @@ class Subspace:
         return f"Subspace(q={self.q}, n={self.n}, dim={self.dim})"
 
 
-def stacked_rank(U: Subspace, V: Subspace) -> int:
-    rows = [list(r) for r in U.rows] + [list(r) for r in V.rows]
-    _, pivots = _rref_rows(rows, U.q)
-    return len(pivots)
-
-
 def intersection_dim(U: Subspace, V: Subspace) -> int:
-    """dim(U meet V) via dim U + dim V - dim(U + V)."""
+    """dim(U meet V) = dim V - (dim(U + V) - dim U)."""
     if U.n != V.n or U.q != V.q:
         raise DomainError("subspaces live in different ambient spaces")
-    return U.dim + V.dim - stacked_rank(U, V)
+    return V.dim - U.residual_rank(V.codes)
 
 
 def subspace_distance(U: Subspace, V: Subspace) -> int:

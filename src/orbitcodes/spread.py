@@ -23,7 +23,6 @@ from .fields import (
     find_irreducible_with_order,
     is_primitive,
     least_primitive,
-    vector_from_int,
 )
 from .linalg import Subspace
 
@@ -104,23 +103,26 @@ def distinct_orbit_start(ctx: FieldCtx, k: int) -> Subspace | None:
     if not ctx.is_irreducible:
         raise DomainError("distinct-orbit start search needs an irreducible modulus")
     q, n = ctx.q, ctx.n
-    total = q**n
+    lanes_ = ctx.lanes
+    add, cycle_of = lanes_.add, ctx.cycle_of_code
+    # packed vectors in ascending integer encoding
+    codes = list(lanes_.ascending())
 
-    def extend(rows: list, span: list, orbits: set, next_code: int):
+    def extend(rows: list, span: list, orbits: set, next_index: int):
         if len(rows) == k:
-            return Subspace.from_rows(q, n, rows)
-        for code_int in range(next_code, total):
-            v = vector_from_int(code_int, q, n)
+            return Subspace.from_packed(q, n, rows)
+        for i in range(next_index, len(codes)):
+            v = codes[i]
             if v in span_set:
                 continue
             new_elems = []
             new_orbits = set()
             ok = True
             for c in range(1, q):
-                cv = tuple((c * x) % q for x in v)
+                cv = lanes_.scale(v, c)
                 for e in span:
-                    w = tuple((a + b) % q for a, b in zip(e, cv))
-                    oid, _ = ctx.element_orbit(w)
+                    w = add(e, cv)
+                    oid = cycle_of(w)[0]
                     if oid in orbits or oid in new_orbits:
                         ok = False
                         break
@@ -131,15 +133,14 @@ def distinct_orbit_start(ctx: FieldCtx, k: int) -> Subspace | None:
             if not ok:
                 continue
             span_set.update(new_elems)
-            found = extend(rows + [v], span + new_elems, orbits | new_orbits, code_int + 1)
+            found = extend(rows + [v], span + new_elems, orbits | new_orbits, i + 1)
             if found is not None:
                 return found
             span_set.difference_update(new_elems)
         return None
 
-    zero = (0,) * n
-    span_set: set = {zero}
-    return extend([], [zero], set(), 1)
+    span_set: set = {0}
+    return extend([], [0], set(), 1)
 
 
 def build_nonprimitive_spread(q: int, k: int, n: int) -> CyclicOrbitCode:

@@ -92,6 +92,48 @@ def test_enumerate_orbit_cap():
         enumerate_orbit(code, cap=10)
 
 
+@pytest.mark.parametrize(
+    "spec,rows",
+    [
+        (single_block(X6_X_1), [(1, 0, 0, 0, 0, 0)]),
+        (single_block(X6_X_1), [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0), (1, 1, 1, 1, 0, 0)]),
+        (ElementaryDivisorSpec.make(P2, [(X2_X_1, 2), (X3_X_1, 1)]), [(1, 0, 0, 0, 1, 0, 0)]),
+    ],
+)
+def test_naive_cap_contract(spec, rows):
+    # the cap bounds the number of codewords: exactly cardinality passes
+    code = make_code(spec, rows)
+    card = analyze_naive(code).cardinality
+    assert card > 1
+    with pytest.raises(OrbitCapError):
+        analyze_naive(code, cap=card - 1)
+    assert analyze_naive(code, cap=card).cardinality == card
+    with pytest.raises(OrbitCapError):
+        enumerate_orbit(code, cap=card - 1)
+    assert len(enumerate_orbit(code, cap=card)) == card
+
+
+def test_naive_oracle_reads_no_cycle_index(monkeypatch):
+    from orbitcodes.fields import FieldCtx, Lanes
+
+    codes = [
+        make_code(single_block(X6_X_1), [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 1, 0)]),
+        make_code(
+            ElementaryDivisorSpec.make(P2, [(X2_X_1, 2), (X3_X_1, 1)]), [(1, 0, 1, 1, 0, 1, 0)]
+        ),
+        make_code(single_block(X2_X_2_F3), [(1, 2)]),
+    ]
+    fast = [analyze(c, method="fast", with_distribution=True) for c in codes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used the fast analyzer's machinery")
+
+    monkeypatch.setattr(FieldCtx, "cycle_of_code", refuse)
+    monkeypatch.setattr(FieldCtx, "mul_x_power_code", refuse)
+    monkeypatch.setattr(Lanes, "span", refuse)
+    assert [analyze_naive(c) for c in codes] == fast
+
+
 def test_regime_labels():
     assert make_code(single_block(X6_X_1), [(1,) * 6]).regime == "primitive"
     assert make_code(single_block(X4_NONPRIM), [(1, 0, 0, 0)]).regime == "irreducible"

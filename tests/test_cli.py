@@ -276,6 +276,18 @@ def test_simulate_cmd(capsys, spread_spec_file):
     assert data["success_rate_lf"] == 1.0
 
 
+@pytest.mark.parametrize("command", ["search", "simulate"])
+def test_jobs_below_one_rejected(capsys, spread_spec_file, command):
+    argv = (
+        ["search", "--q", "2", "--n", "4", "--k", "2"]
+        if command == "search"
+        else ["simulate", "--code", str(spread_spec_file)]
+    )
+    rc, out, err = run(capsys, argv + ["--seed", "1", "--trials", "20", "--jobs", "0"])
+    assert rc == 1 and out == ""
+    assert "--jobs" in err
+
+
 # -- selftest and usage errors ----------------------------------------------
 
 

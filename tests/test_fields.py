@@ -6,6 +6,7 @@ import pytest
 
 from orbitcodes import (
     DomainError,
+    FieldCtx,
     NonUnitError,
     NoSuchPolynomialError,
     Poly,
@@ -262,6 +263,21 @@ def test_cycle_index_beyond_byte_coefficients():
     assert ctx.x_power(5) == (3**5 % 257,)
     assert ctx.x_log((3**5 % 257,)) == 5
     assert ctx.dlog_table[(1,)] == 0
+
+
+def test_cycle_index_size_limit(monkeypatch):
+    from orbitcodes import fields
+
+    monkeypatch.setattr(fields, "CYCLE_INDEX_LIMIT", 2**10)
+    # a primitive modulus builds its index in the constructor
+    with pytest.raises(DomainError, match=r"q=2, degree 12.* 1024"):
+        FieldCtx(least_primitive(P2, 12))
+    # any other modulus builds it on first use
+    ctx = FieldCtx(poly_of(2, [1, 1, 0, 0, 0, 0, 1]) * poly_of(2, [1, 1, 0, 0, 0, 0, 1]))
+    assert ctx.mul_by_x(ctx.one) == ctx.x
+    with pytest.raises(DomainError, match=r"q=2, degree 12.* 1024"):
+        ctx.cycle_of(ctx.one)
+    assert FieldCtx(X6_X_1).x_order == 63
 
 
 def _orbit_base(ctx, oid):

@@ -1,5 +1,7 @@
 """Channel model, decoding simulation, and seeded random search."""
 
+import concurrent.futures
+import os
 import random
 
 import pytest
@@ -163,6 +165,28 @@ def test_random_search_deterministic_across_jobs():
     c = random_search(2, 3, 6, spec, trials=60, seed=5, jobs=3)
     assert a == b == c
     assert random_search(2, 3, 6, spec, trials=60, seed=6) != a
+
+
+def test_process_pool_is_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    cpus = os.cpu_count() or 1
+    jobs = cpus + 1
+    trials = 4 * jobs + 8
+    spec = single_block(X6_X_1)
+    serial = random_search(2, 3, 6, spec, trials=trials, seed=5)
+    assert random_search(2, 3, 6, spec, trials=trials, seed=5, jobs=jobs) == serial
+    code = spread_code()
+    cfg = ChannelConfig(1, 1, 7)
+    pooled = simulate_decoding(code, cfg, trials=trials, jobs=jobs)
+    assert pooled == simulate_decoding(code, cfg, trials=trials)
+    assert sizes == [cpus, cpus]
 
 
 def test_random_search_accepts_bare_polynomial():
