@@ -262,11 +262,6 @@ def _place(v: int, blocks) -> tuple[tuple, int, int]:
             key.append(None)
             continue
         cid, e, m = cycle_of(part)
-        if L == 1:
-            # the first live block: the CRT below reduces to P, L = e, m
-            P, L = e, m
-            key.append((cid, 0))
-            continue
         g = math.gcd(L, m)
         shift = (P - e) % g
         mg = m // g
@@ -321,7 +316,8 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
     if not with_distribution and len(cycles) == 1:
         # count has period cardinality, so off the multiples of the
         # cardinality (U itself) this cycle's counts are the values count
-        # takes for 0 < h < cardinality
+        # takes for 0 < h < cardinality. Every primitive-block search trial
+        # lands here, and the general fold below costs it about a fifth more.
         L, _, counts = cycles[0]
         for d in range(cardinality, L // 2 + 1, cardinality):
             del counts[d]

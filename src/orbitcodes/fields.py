@@ -378,18 +378,16 @@ class Lanes:
         return tuple([(code >> s) & m for s in self.shifts])
 
     def scale(self, code: int, c: int) -> int:
-        """c times a packed vector, by doubling (c in range(q))."""
-        if c == 1:
-            return code
+        """c times a packed vector, by doubling (0 < c < q)."""
         add = self.add
-        out = 0
-        while c:
+        out = None
+        while True:
             if c & 1:
-                out = add(out, code)
+                out = code if out is None else add(out, code)
             c >>= 1
-            if c:
-                code = add(code, code)
-        return out
+            if not c:
+                return out
+            code = add(code, code)
 
     def span(self, rows) -> list[int]:
         """All q^k combinations sum(c_i * rows[i]) in itertools.product
@@ -511,8 +509,7 @@ class FieldCtx:
         # that falls off the top back in as c * x^n
         self._top = self.lanes.shifts[-1]
         self._mask = (1 << (self._top + self.lanes.w)) - 1
-        xn = self.lanes.pack(self._xn_row)
-        self._xn_multiples = [self.lanes.scale(xn, c) for c in range(self.q)]
+        self._xn = self.lanes.pack(self._xn_row)
         # cycle index: slot of each nonzero code, the codes by slot, and the
         # first slot of each cycle (plus a closing sentinel)
         self._slot = None
@@ -576,7 +573,10 @@ class FieldCtx:
         """mul_by_x on a packed element."""
         carry = code >> self._top
         code = (code << self.lanes.w) & self._mask
-        return self.lanes.add(code, self._xn_multiples[carry]) if carry else code
+        if not carry:
+            return code
+        L = self.lanes
+        return L.add(code, L.scale(self._xn, carry))
 
     def mul(self, a, b) -> tuple[int, ...]:
         # schoolbook product then reduction; n <= 12 keeps this cheap

@@ -212,30 +212,19 @@ class Subspace:
     def matrix(self) -> Mat:
         return Mat(self.q, self.rows)
 
-    @cached_property
-    def _eliminators(self) -> tuple[tuple[int, list[int]], ...]:
-        """(bit offset of the pivot lane, [-c * row for c in range(q)]) per
-        basis row: subtracting entry c clears a c in the pivot lane."""
-        L = lanes(self.q, self.n)
-        q = self.q
-        return tuple(
-            (p * L.w, [L.scale(r, (q - c) % q) for c in range(q)])
-            for r, p in zip(self.codes, self.pivots)
-        )
-
     def residual_rank(self, codes) -> int:
         """dim(self + span(codes)) - dim(self) for packed rows of F_q^n:
         the rank of what is left of the rows after reducing them against
         this RREF basis."""
         L = lanes(self.q, self.n)
-        m, add = L.m, L.add
-        eliminators = self._eliminators
+        q, m, add, scale = L.q, L.m, L.add, L.scale
+        basis = [(p * L.w, r) for p, r in zip(self.pivots, self.codes)]
         left = []
         for v in codes:
-            for s, negs in eliminators:
+            for s, r in basis:
                 c = (v >> s) & m
                 if c:
-                    v = add(v, negs[c])
+                    v = add(v, r if c == q - 1 else scale(r, q - c))
             if v:
                 left.append(v)
         return len(_rref_rows(left, L)[1]) if left else 0

@@ -7,6 +7,8 @@ q = 2 (one bit per coordinate), odd q (guarded lanes) and q = 257 (lanes
 wider than a byte).
 """
 
+import random
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from orbitcodes import (
     ElementaryDivisorSpec,
+    FieldCtx,
     Poly,
     PrimeField,
     Subspace,
@@ -244,3 +247,29 @@ def test_naive_walk_matches_orbit_enumeration(code):
     assert params.distribution == tuple(dist)
     nonzero = [i for i in range(1, code.k + 1) if dist[i]]
     assert params.min_distance == (2 * nonzero[0] if nonzero else None)
+
+
+def test_large_prime_allocates_nothing_of_size_q():
+    # the kernels cost per coordinate and per row, never per field element:
+    # a table of q entries would take megabytes at this q
+    q = 1000003
+    tracemalloc.start()
+    try:
+        ctx = FieldCtx(poly_of(q, [q - 4, 1]))  # x = 4, a square: not primitive
+        assert not ctx.is_primitive
+        L = ctx.lanes
+        assert L.unpack(ctx.mul_by_x_code(L.pack((q - 1,)))) == ctx.mul_by_x((q - 1,)) == (q - 4,)
+        rng = random.Random(3)
+        U, V = (
+            Subspace.from_rows(q, 8, [[rng.randrange(q) for _ in range(8)] for _ in range(4)])
+            for _ in range(2)
+        )
+        W = Subspace.from_rows(q, 8, U.rows[:2] + V.rows[:2])
+        assert (U.dim, V.dim, W.dim) == (4, 4, 4)
+        assert intersection_dim(U, W) == intersection_dim(W, V) == 2
+        assert subspace_distance(U, V) == 8
+        assert W.contains(U.rows[1]) and not W.contains(U.rows[3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
