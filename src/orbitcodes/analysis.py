@@ -30,15 +30,18 @@ from .errors import (
     OrbitCapError,
     ShapeMismatchError,
 )
-from .fields import FieldCtx, Poly, PrimeField, field_context, lanes
+from .fields import FieldCtx, Poly, PrimeField, check_entries, field_context, lanes
 from .linalg import Mat, Subspace, matrix_order, row_times_mat
 
 ORBIT_CAP = 2**20
+# the most pairs one quadratic scan may take: the fast analyzer per M-cycle,
+# the exhaustive decoder per decode
+PAIR_LIMIT = 2**24
 
 REGIMES = ("primitive", "irreducible", "completely_reducible", "non_semisimple", "general")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodeParams:
     """Cardinality, minimum distance, and (optionally) the full distance
     distribution (D_0, D_2, ..., D_2k). min_distance is None for a
@@ -293,6 +296,12 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
     cardinality = 1
     cycles = []
     for L, ps in groups.values():
+        n = len(ps)
+        if n * (n - 1) // 2 > PAIR_LIMIT:
+            raise DomainError(
+                f"the pair scan of a k = {k} start would count {n * (n - 1) // 2} "
+                f"pairs on one M-cycle, above the limit of {PAIR_LIMIT}"
+            )
         # count(d) on this M-cycle is the number of ordered pairs of its
         # positions that differ by d mod L (distinct elements have distinct
         # positions). It is symmetric, count(d) = count(L - d), so each pair
@@ -303,7 +312,6 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
         cnt = Counter([b - a if b - a <= half else L - b + a for a, b in combinations(ps, 2)])
         if L % 2 == 0 and half in cnt:
             cnt[half] *= 2
-        n = len(ps)
         # a shift maps the positions onto themselves iff every one of the n
         # pairs it moves lands on a position; the least one divides L
         period = L
@@ -596,9 +604,11 @@ def code_from_json_dict(data: dict) -> tuple[CyclicOrbitCode, str]:
     rows = []
     for row in raw_start:
         try:
-            rows.append([int(tok) for tok in str(row).split()])
+            ints = [int(tok) for tok in str(row).split()]
         except ValueError:
             raise DomainError(f"start row must be space-separated integers: {row!r}") from None
+        check_entries(ints, q, f"start row {row!r}")
+        rows.append(ints)
     shape = data.get("shape", "free")
     if shape not in ("diag", "concat", "free"):
         raise DomainError(f'shape must be "diag", "concat" or "free", got {shape!r}')

@@ -1,31 +1,41 @@
 """Minimum-distance decoding for cyclic orbit codes with a single
 irreducible companion-block generator.
 
-Every codeword intersecting the received space R nontrivially shows up as
-a candidate U P^e with v = u x^e for some pair of nonzero vectors v in R,
-u in U. Such an e exists exactly when v and u lie on the same cycle of
-multiplication by x, and then it is the difference of their positions on
-that cycle, read from the field context's cycle index. Scanning all pairs
-and keeping the candidate of maximal intersection is a full
-nearest-codeword search. The L_f variant restricts v to low-support
-combinations of R's basis and stops as soon as a candidate is provably
-the unique nearest codeword.
+Multiplication by x permutes the nonzero vectors of F_q^n in cycles of
+length r = ord(x), and v = u x^e for nonzero u, v exactly when both lie on
+one cycle and e is the difference of their positions there, read from the
+field context's cycle index. For the start U and a received space R that
+gives the count identity
+
+    #{(u, v) : u in U - 0, v in R - 0, v = u x^e} = q^dim(R cap U x^e) - 1.
+
+U x^e depends only on e mod the code's cardinality N, which divides r, so
+the pairs on a common cycle whose positions differ by c mod N number
+(r/N)(q^d - 1) with d = dim(R cap U x^c). One count of position
+differences therefore gives R's intersection with every codeword at once,
+with no rank and no canonical form, and decode_exhaustive takes the
+largest. The L_f variant pairs only low-support combinations of R's basis
+with U, ranks each exponent it meets by reducing the rows of U x^e against
+R's RREF, and stops as soon as a candidate is provably the unique nearest
+codeword.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .analysis import CodeParams, CyclicOrbitCode, analyze, codeword
-from .errors import DomainError
+from .analysis import PAIR_LIMIT, CodeParams, CyclicOrbitCode, analyze, codeword
+from .errors import DomainError, InternalInvariantError
 from .fields import FieldCtx, field_context
-from .linalg import Subspace, intersection_dim
+from .linalg import Subspace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeResult:
     """Nearest-codeword answer.
 
@@ -42,8 +52,19 @@ class DecodeResult:
     candidates_examined: int
 
 
+class _CodeInfo(NamedTuple):
+    """What every decode of one code needs."""
+
+    ctx: FieldCtx
+    params: CodeParams
+    # (cycle id, position) of each nonzero element of U, element_codes order
+    places: tuple[tuple[int, int], ...]
+    # cycle id -> (position mod cardinality, how many of U's elements sit there)
+    residues: dict[int, list[tuple[int, int]]]
+
+
 @lru_cache(maxsize=128)
-def _code_info(code: CyclicOrbitCode) -> tuple[FieldCtx, CodeParams]:
+def _code_info(code: CyclicOrbitCode) -> _CodeInfo:
     spec = code.block_structure
     if spec is None or len(spec.blocks) != 1 or spec.blocks[0][1] != 1:
         raise DomainError(
@@ -53,7 +74,12 @@ def _code_info(code: CyclicOrbitCode) -> tuple[FieldCtx, CodeParams]:
     if not ctx.is_irreducible:
         raise DomainError("decoding needs an irreducible generator polynomial")
     params = analyze(code, method="fast")
-    return ctx, params
+    places = tuple(ctx.cycle_of_code(u)[:2] for u in code.start.element_codes()[1:])
+    card = params.cardinality
+    residues: dict[int, list[tuple[int, int]]] = {}
+    for (c, a), na in Counter((c, p % card) for c, p in places).items():
+        residues.setdefault(c, []).append((a, na))
+    return _CodeInfo(ctx, params, places, residues)
 
 
 def _check_received(R: Subspace, code: CyclicOrbitCode) -> None:
@@ -63,86 +89,53 @@ def _check_received(R: Subspace, code: CyclicOrbitCode) -> None:
         raise DomainError("received space must be nonzero")
 
 
-class _CandidateScan:
-    """Shared state for one decode: candidate construction, caching by
-    exponent mod cardinality, and best tracking."""
-
-    def __init__(self, R: Subspace, code: CyclicOrbitCode):
-        self.R = R
-        self.code = code
-        self.ctx, self.params = _code_info(code)
-        self.card = self.params.cardinality
-        self.k = code.k
-        self.kp = R.dim
-        self.examined = 0
-        self.cache: dict[int, tuple[Subspace, int]] = {}
-        self.best_dim = 0
-        self.best_exps: set[int] = set()
-        self.u_places = [self.ctx.cycle_of_code(u)[:2] for u in code.start.element_codes()[1:]]
-
-    def _candidate(self, e: int) -> tuple[Subspace, int]:
-        key = e % self.card
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        W = codeword(self.code, key)
-        entry = (W, intersection_dim(self.R, W))
-        self.cache[key] = entry
-        return entry
-
-    def exponents_for(self, v: int):
-        """Candidate exponents from pairing a packed v with every nonzero u
-        in U.
-
-        Yields one exponent per pair on a common cycle; the other pairs
-        (possible only for non-primitive generators, which have several
-        cycles) are counted as examined but yield nothing.
-        """
-        cv, pv, r = self.ctx.cycle_of_code(v)
-        for cu, pu in self.u_places:
-            self.examined += 1
-            if cu == cv:
-                yield (pv - pu) % r
-
-    def consider(self, e: int) -> tuple[Subspace, int]:
-        W, dim = self._candidate(e)
-        key = e % self.card
-        if dim > self.best_dim:
-            self.best_dim = dim
-            self.best_exps = {key}
-        elif dim == self.best_dim and dim > 0:
-            self.best_exps.add(key)
-        return W, dim
-
-    def result(self) -> DecodeResult:
-        if self.best_exps:
-            exp = min(self.best_exps)
-            W, dim = self.cache[exp]
-            unique = len(self.best_exps) == 1
-        else:
-            # no pair produced a candidate: every codeword meets R trivially
-            exp = 0
-            W, dim = self._candidate(0)
-            unique = self.card == 1
-        return DecodeResult(
-            codeword=W,
-            group_exponent=exp,
-            distance=self.k + self.kp - 2 * dim,
-            unique=unique,
-            candidates_examined=self.examined,
-        )
+def _result(
+    R: Subspace, code: CyclicOrbitCode, exponent: int, dim: int, unique: bool, examined: int
+) -> DecodeResult:
+    """The answer for codeword U x^exponent, which meets R in dimension dim."""
+    return DecodeResult(
+        codeword=codeword(code, exponent),
+        group_exponent=exponent,
+        distance=code.k + R.dim - 2 * dim,
+        unique=unique,
+        candidates_examined=examined,
+    )
 
 
 def decode_exhaustive(R: Subspace, code: CyclicOrbitCode) -> DecodeResult:
-    """Algorithm-style full pair scan: examines exactly
-    (q^k - 1)(q^k' - 1) pairs, no early exit. Ambiguity is reported
-    through unique=False with the smallest tied exponent."""
+    """Full nearest-codeword search by the count identity: every pair of
+    nonzero u in U, v in R is accounted for, and candidates_examined is
+    (q^k - 1)(q^k' - 1). Ambiguity is reported through unique=False with
+    the smallest tied exponent."""
     _check_received(R, code)
-    scan = _CandidateScan(R, code)
-    for v in R.element_codes()[1:]:
-        for e in scan.exponents_for(v):
-            scan.consider(e)
-    return scan.result()
+    ctx, params, _, residues = _code_info(code)
+    q, k, kp = code.q, code.k, R.dim
+    examined = (q**k - 1) * (q**kp - 1)
+    if examined > PAIR_LIMIT:
+        raise DomainError(
+            f"an exhaustive decode of a k = {k} code against a k' = {kp} received "
+            f"space scans {examined} pairs, above the limit of {PAIR_LIMIT}"
+        )
+    card = params.cardinality
+    r_at = Counter((c, p % card) for c, p, _ in map(ctx.cycle_of_code, R.element_codes()[1:]))
+    # pairs on a common cycle by position difference mod card; elements at
+    # equal positions mod card pair alike, so they are counted together
+    counts: Counter = Counter()
+    for (c, b), nb in r_at.items():
+        for a, na in residues.get(c, ()):
+            counts[(b - a) % card] += na * nb
+    if not counts:
+        # no pair: every codeword meets R trivially
+        return _result(R, code, 0, 0, card == 1, examined)
+    # each codeword's class holds r/card exponents mod r, each of which
+    # pairs q^dim - 1 elements of R with their preimages in U
+    per = ctx.x_order // card
+    dim_of = {per * (q**d - 1): d for d in range(1, min(k, kp) + 1)}
+    if not dim_of.keys() >= set(counts.values()):
+        raise InternalInvariantError("a pair count is not (r/card)(q^dim - 1)")
+    top = max(counts.values())
+    tied = [e for e, c in counts.items() if c == top]
+    return _result(R, code, min(tied), dim_of[top], len(tied) == 1, examined)
 
 
 def lf_set(basis_rows, f: int, q: int) -> list[tuple[int, ...]]:
@@ -185,7 +178,7 @@ def error_capability(code: CyclicOrbitCode, k_prime: int) -> int:
     """
     if k_prime < 1:
         raise DomainError("k' must be >= 1")
-    _, params = _code_info(code)
+    params = _code_info(code).params
     if params.min_distance is None:
         return k_prime - 1
     delta = params.min_distance // 2
@@ -201,26 +194,43 @@ def decode_lf(R: Subspace, code: CyclicOrbitCode, f: int | None = None) -> Decod
     _check_received(R, code)
     if f is None:
         f = error_capability(code, R.dim)
-    scan = _CandidateScan(R, code)
-    delta = None
-    if scan.params.min_distance is not None:
-        delta = scan.params.min_distance // 2
+    ctx, params, u_places, _ = _code_info(code)
+    card = params.cardinality
     k, kp = code.k, R.dim
     # distance <= delta-1 is equivalent to this intersection dimension
     exit_dim = None
-    if delta is not None:
+    if params.min_distance is not None:
+        delta = params.min_distance // 2
         exit_dim = math.ceil((k + kp - delta + 1) / 2)
-    pack = scan.ctx.lanes.pack
+    start, mul = code.start.codes, ctx.mul_x_power_code
+    dims: dict[int, int] = {}
+
+    def dim_at(e: int) -> int:
+        # dim(R cap U x^e) = k - rank of U x^e's rows reduced against R
+        d = dims.get(e)
+        if d is None:
+            d = dims[e] = k - R.residual_rank([mul(u, e) for u in start])
+        return d
+
+    examined = 0
+    best_dim = 0
+    best: set[int] = set()
+    pack = ctx.lanes.pack
     for v in lf_set(R.rows, f, code.q):
-        for e in scan.exponents_for(pack(v)):
-            _, dim = scan.consider(e)
-            if exit_dim is not None and dim >= exit_dim:
-                W, dim = scan.cache[e % scan.card]
-                return DecodeResult(
-                    codeword=W,
-                    group_exponent=e % scan.card,
-                    distance=k + kp - 2 * dim,
-                    unique=True,
-                    candidates_examined=scan.examined,
-                )
-    return scan.result()
+        cv, pv, _ = ctx.cycle_of_code(pack(v))
+        for cu, pu in u_places:
+            examined += 1
+            if cu != cv:
+                continue
+            e = (pv - pu) % card
+            d = dim_at(e)
+            if exit_dim is not None and d >= exit_dim:
+                return _result(R, code, e, d, True, examined)
+            if d > best_dim:
+                best_dim, best = d, {e}
+            elif d == best_dim:
+                best.add(e)
+    if best:
+        return _result(R, code, min(best), best_dim, len(best) == 1, examined)
+    # no pair among the L_f vectors; U itself may still meet R
+    return _result(R, code, 0, dim_at(0), card == 1, examined)

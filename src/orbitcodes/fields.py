@@ -96,6 +96,14 @@ class PrimeField:
         return f"GF({self.q})"
 
 
+def check_entries(values, q: int, where: str) -> None:
+    """Refuse parsed text whose integers are not all in [0, q); where names
+    the row or polynomial they came from."""
+    bad = next((x for x in values if not 0 <= x < q), None)
+    if bad is not None:
+        raise DomainError(f"{where}: entry {bad} is outside [0, {q}) for q = {q}")
+
+
 @dataclass(frozen=True)
 class Poly:
     """Univariate polynomial over a prime field, coefficients ascending.
@@ -126,6 +134,7 @@ class Poly:
             ) from exc
         if not coeffs:
             raise DomainError("empty polynomial text")
+        check_entries(coeffs, field.q, f"polynomial {text.strip()!r}")
         return cls.make(field, coeffs)
 
     def to_text(self) -> str:

@@ -96,7 +96,7 @@ def transmit(V: Subspace, cfg: ChannelConfig) -> Subspace:
     return _transmit(V, cfg.erasures, cfg.errors, random.Random(cfg.seed))
 
 
-@dataclass
+@dataclass(slots=True)
 class SimulationStats:
     """Aggregated decode outcomes over simulate_decoding trials."""
 
@@ -183,7 +183,7 @@ def simulate_decoding(
 # -- randomized code search -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRecord:
     """Best code found for one target minimum distance."""
 
@@ -193,7 +193,7 @@ class CellRecord:
     start_rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchReport:
     """Outcome of a seeded random search over start subspaces.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, SingularMatrixError
-from .fields import FieldCtx, Lanes, Poly, RingElem, divisors, lanes, phi
+from .fields import FieldCtx, Lanes, Poly, RingElem, check_entries, divisors, lanes, phi
 
 Row = tuple[int, ...]
 
@@ -84,9 +84,11 @@ class Mat:
             if not line:
                 continue
             try:
-                rows.append([int(tok) for tok in line.split()])
+                row = [int(tok) for tok in line.split()]
             except ValueError as exc:
                 raise DomainError(f"matrix row must be space-separated integers: {line!r}") from exc
+            check_entries(row, q, f"matrix row {line!r}")
+            rows.append(row)
         if not rows:
             raise DomainError("empty matrix text")
         return cls.make(q, rows)

@@ -461,3 +461,27 @@ def test_json_errors_name_the_field(mutate, field):
     with pytest.raises(DomainError) as err:
         code_from_json_dict(data)
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize("row,bad", [("1 0 3 0", 3), ("0 -1 1 0", -1), ("7 0 0 1", 7)])
+def test_json_start_entries_outside_the_field(row, bad):
+    code = make_code(single_block(X4_NONPRIM), [(1, 0, 0, 0), (0, 0, 1, 1)])
+    data = code_to_json_dict(code)
+    data["start"][1] = row
+    with pytest.raises(DomainError) as err:
+        code_from_json_dict(data)
+    msg = str(err.value)
+    assert repr(row) in msg and f"entry {bad}" in msg and "q = 2" in msg
+
+
+def test_pair_scan_limit(monkeypatch):
+    from orbitcodes import analysis
+
+    # n=17, k=12 on one M-cycle (4095 elements) stays allowed; k=13 does not
+    assert 4095 * 4094 // 2 <= analysis.PAIR_LIMIT < 8191 * 8190 // 2
+    monkeypatch.setattr(analysis, "PAIR_LIMIT", 20)
+    rows3 = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
+    # 7 nonzero elements on the one cycle of x^6 + x + 1: 21 pairs
+    with pytest.raises(DomainError, match=r"k = 3 .*21 pairs.* 20"):
+        analyze(make_code(single_block(X6_X_1), rows3), method="fast")
+    assert analyze(make_code(single_block(X6_X_1), rows3[:2])).cardinality == 63

@@ -257,6 +257,19 @@ def test_decode_corrupted(capsys, tmp_path, spread_spec_file):
     assert tuple(rows_back) == W.rows
 
 
+@pytest.mark.parametrize("entry", [7, -1, 2])
+def test_decode_received_outside_the_field(capsys, tmp_path, spread_spec_file, entry):
+    received = _write_received(tmp_path, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, entry, 0)])
+    for decoder in ("exhaustive", "lf"):
+        rc, out, err = run(
+            capsys,
+            ["decode", "--code", str(spread_spec_file), "--received", str(received),
+             "--decoder", decoder],
+        )
+        assert rc == 1 and not out
+        assert f"entry {entry}" in err and "q = 2" in err
+
+
 def test_decode_missing_received(capsys, tmp_path, spread_spec_file):
     rc, _, err = run(
         capsys,

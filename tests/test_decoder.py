@@ -1,27 +1,42 @@
 """Decoder behavior: pair-scan counts, L_f restriction, radius guarantees."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcodes import (
     DomainError,
     ElementaryDivisorSpec,
+    FieldCtx,
+    InternalInvariantError,
     Mat,
     Poly,
+    PrimeField,
     Subspace,
     analyze,
+    codeword,
     decode_exhaustive,
     decode_lf,
+    enumerate_orbit,
     error_capability,
+    field_context,
+    find_irreducible_with_order,
+    least_primitive,
     lf_set,
     lf_vector_count,
     make_code,
+    subspace_distance,
 )
 
 from conftest import (
     P2,
+    P3,
+    X2_1_F3,
     X2_X_1,
+    X2_X_2_F3,
     X3_X_1,
     X4_NONPRIM,
     X4_X_1,
@@ -262,3 +277,123 @@ def rand_basis_of(rng, S):
         if C.rank() == k:
             break
     return [tuple(r) for r in (C * Mat.make(S.q, [list(r) for r in S.rows])).rows]
+
+
+# -- against a brute-force nearest codeword ---------------------------------
+
+F5 = PrimeField(5)
+
+# (generator polynomial, primitive?) for single irreducible blocks
+BLOCKS = [
+    (X4_X_1, True),
+    (X4_NONPRIM, False),
+    (X6_X_1, True),
+    (find_irreducible_with_order(P2, 6, 21), False),
+    (X2_X_2_F3, True),
+    (X2_1_F3, False),
+    (least_primitive(P3, 3), True),
+    (find_irreducible_with_order(P3, 3, 13), False),
+    (least_primitive(F5, 2), True),
+    (find_irreducible_with_order(F5, 2, 12), False),
+    (find_irreducible_with_order(F5, 3, 31), False),
+]
+
+
+def _received(rng, code, near):
+    """A random received space, or one that keeps part of a codeword."""
+    q, n = code.q, code.n
+    while True:
+        if near:
+            W = codeword(code, rng.randrange(1000))
+            rows = list(W.rows)
+            rng.shuffle(rows)
+            rows = rows[: rng.randrange(1, len(rows) + 1)]
+            rows += [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(3))]
+        else:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(1, n + 1))]
+        R = Subspace.from_rows(q, n, rows)
+        if R.dim:
+            return R
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    block=st.integers(0, len(BLOCKS) - 1),
+    seed=st.integers(0, 2**32),
+    near=st.booleans(),
+)
+def test_decoders_match_brute_force(block, seed, near):
+    from orbitcodes import decoder
+
+    p, primitive = BLOCKS[block]
+    assert field_context(p).is_primitive == primitive
+    q, n = p.field.q, p.degree
+    rng = random.Random(seed)
+    code = make_code(single_block(p), rand_full_rank(rng, q, rng.randrange(1, n), n))
+    R = _received(rng, code, near)
+    k, kp = code.k, R.dim
+    orbit = enumerate_orbit(code)
+    dist = [subspace_distance(R, W) for W in orbit]
+    best = min(dist)
+    tied = [h for h, d in enumerate(dist) if d == best]
+    md = analyze(code).min_distance
+    radius = md // 2 - 1 if md is not None else -1
+
+    calls = []
+
+    def counted(code_, e):
+        calls.append(e)
+        return codeword(code_, e)
+
+    def decode(fn, *args):
+        calls.clear()
+        res = fn(R, code, *args)
+        assert len(calls) <= 1
+        assert res.codeword == orbit[res.group_exponent]
+        assert res.distance == dist[res.group_exponent]
+        if res.distance <= radius:
+            # within the unique-decoding radius the nearest codeword is unique
+            assert res.unique and tied == [res.group_exponent]
+        return res
+
+    def nearest(res):
+        return (res.distance, res.group_exponent, res.unique) == (best, tied[0], len(tied) == 1)
+
+    with mock.patch.object(decoder, "codeword", counted):
+        ex = decode(decode_exhaustive)
+        assert nearest(ex)
+        assert ex.candidates_examined == (q**k - 1) * (q**kp - 1)
+        cap = error_capability(code, kp)
+        default = decode(decode_lf)
+        for f in range(kp):
+            res = decode(decode_lf, f)
+            assert res.distance >= best
+            if f == kp - 1 or (f >= cap and best <= radius):
+                assert nearest(res)
+            if f == cap:
+                assert res == default
+    if best <= radius:
+        assert nearest(default)
+
+
+def test_exhaustive_pair_limit(monkeypatch):
+    from orbitcodes import decoder
+
+    monkeypatch.setattr(decoder, "PAIR_LIMIT", 100)
+    code = spread_code()  # k = 3: 7 nonzero elements
+    rng = random.Random(SEED)
+    # 7 * 15 = 105 pairs for k' = 4
+    with pytest.raises(DomainError, match=r"k = 3 .*k' = 4 .*105 .* 100"):
+        decode_exhaustive(rand_full_rank(rng, 2, 4, 6), code)
+    assert decode_exhaustive(rand_full_rank(rng, 2, 3, 6), code).candidates_examined == 49
+
+
+def test_exhaustive_checks_the_count_identity(monkeypatch):
+    code = spread_code()
+    R = codeword(code, 3)
+    assert decode_exhaustive(R, code).group_exponent == 3
+    # a wrong r/card turns every count into a value the identity forbids
+    order = FieldCtx.x_order
+    monkeypatch.setattr(FieldCtx, "x_order", property(lambda ctx: 2 * order.fget(ctx)))
+    with pytest.raises(InternalInvariantError):
+        decode_exhaustive(R, code)

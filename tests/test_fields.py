@@ -104,6 +104,15 @@ def test_poly_text_round_trip():
         Poly.from_text(P2, "1 x 0")
 
 
+@pytest.mark.parametrize("text,bad", [("1 3 0 0 0 0 -1", 3), ("1 1 0 0 0 0 -1", -1)])
+def test_poly_text_outside_the_field(text, bad):
+    # not read as x^6 + x + 1 by reducing mod 2
+    with pytest.raises(DomainError) as err:
+        Poly.from_text(P2, text)
+    msg = str(err.value)
+    assert repr(text) in msg and f"entry {bad}" in msg and "q = 2" in msg
+
+
 def test_poly_str_human_form():
     assert str(poly_of(2, [1, 1, 0, 0, 1])) == "x^4 + x + 1"
     assert str(poly_of(3, [2])) == "2"

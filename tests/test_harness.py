@@ -1,7 +1,9 @@
 """Channel model, decoding simulation, and seeded random search."""
 
 import concurrent.futures
+import functools
 import os
+import pickle
 import random
 
 import pytest
@@ -13,8 +15,10 @@ from orbitcodes import (
     SpreadSpec,
     Subspace,
     analyze,
+    build_nonprimitive_spread,
     build_spread,
     codeword,
+    decode_exhaustive,
     least_primitive,
     make_code,
     random_search,
@@ -22,7 +26,7 @@ from orbitcodes import (
     subspace_distance,
     transmit,
 )
-from orbitcodes.harness import _better
+from orbitcodes.harness import SimulationStats, _better
 
 from conftest import P2, X4_X_1, X6_X_1, rand_full_rank, single_block
 
@@ -131,6 +135,93 @@ def test_simulate_beyond_radius_sometimes_fails():
     assert stats.success_exhaustive < 40
     assert stats.agree < 40
     assert stats.examined_lf < stats.examined_exhaustive
+
+
+# simulate_decoding(code, ChannelConfig(erasures, errors, seed), 10 trials)
+# at seeds 1, 2, 3 and 0x5EED1234, as (success_rate_exhaustive,
+# success_rate_lf, unique_rate_exhaustive, unique_rate_lf,
+# avg_examined_exhaustive, avg_examined_lf, decoder_agreement_rate). Seeds 2
+# and 3 read alike: trial t draws from Random(seed ^ t), and for t < 10 the
+# two seeds give the same ten streams. (2, 3) on prim12 lies beyond the
+# unique-decoding radius, so it covers ties.
+SIMULATE_GOLDEN = {
+    ("prim12", (1, 2)): [
+        (1.0, 1.0, 1.0, 1.0, 465.0, 56.5, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 465.0, 55.0, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 465.0, 55.0, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 465.0, 56.5, 1.0),
+    ],
+    ("nonprim12", (1, 1)): [
+        (1.0, 1.0, 1.0, 1.0, 225.0, 14.5, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 225.0, 13.7, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 225.0, 13.7, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 225.0, 16.5, 1.0),
+    ],
+    ("q3n6", (1, 1)): [
+        (1.0, 1.0, 1.0, 1.0, 676.0, 118.0, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 676.0, 123.2, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 676.0, 123.2, 1.0),
+        (1.0, 1.0, 1.0, 1.0, 676.0, 97.2, 1.0),
+    ],
+    ("prim12", (2, 3)): [
+        (0.7, 0.7, 0.6, 0.6, 465.0, 375.0, 1.0),
+        (0.6, 0.6, 0.5, 0.5, 465.0, 375.0, 1.0),
+        (0.6, 0.6, 0.5, 0.5, 465.0, 375.0, 1.0),
+        (0.5, 0.5, 0.5, 0.5, 465.0, 375.0, 1.0),
+    ],
+}
+GOLDEN_SEEDS = (1, 2, 3, 0x5EED1234)
+
+
+@functools.lru_cache(maxsize=None)
+def golden_code(name):
+    if name == "prim12":
+        return build_spread(SpreadSpec.make(2, 4, 12))
+    if name == "nonprim12":
+        return build_nonprimitive_spread(2, 4, 12)
+    return build_spread(SpreadSpec.make(3, 3, 6))
+
+
+@pytest.mark.parametrize("name,channel", list(SIMULATE_GOLDEN), ids=lambda x: str(x))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulate_golden(name, channel, jobs):
+    code = golden_code(name)
+    for seed, rates in zip(GOLDEN_SEEDS, SIMULATE_GOLDEN[name, channel]):
+        stats = simulate_decoding(code, ChannelConfig(*channel, seed=seed), trials=10, jobs=jobs)
+        ex, lf, uex, ulf, avg_ex, avg_lf, agree = rates
+        assert stats.to_json_dict() == {
+            "trials": 10,
+            "success_rate_exhaustive": ex,
+            "success_rate_lf": lf,
+            "unique_rate_exhaustive": uex,
+            "unique_rate_lf": ulf,
+            "avg_examined_exhaustive": avg_ex,
+            "avg_examined_lf": avg_lf,
+            "decoder_agreement_rate": agree,
+        }, (seed, jobs)
+
+
+def test_simulation_stats_pickle_round_trip():
+    # the --jobs pool sends each chunk's SimulationStats back by pickle
+    stats = simulate_decoding(spread_code(), ChannelConfig(1, 1, seed=5), trials=6)
+    back = pickle.loads(pickle.dumps(stats))
+    assert back == stats
+    assert back.to_json_dict() == stats.to_json_dict()
+    assert not hasattr(back, "__dict__")
+    total = SimulationStats()
+    total.merge(back)
+    assert total == stats
+
+
+def test_frozen_results_pickle_round_trip():
+    code = spread_code()
+    report = random_search(2, 3, 6, code.block_structure, trials=20, seed=SEED)
+    decoded = decode_exhaustive(codeword(code, 2), code)
+    for obj in (report, report.cells[0], analyze(code, with_distribution=True), decoded):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj
+        assert hash(back) == hash(obj)
+        assert not hasattr(back, "__dict__")
 
 
 # -- random search ----------------------------------------------------------

@@ -62,6 +62,19 @@ def test_mat_mul_matches_naive(q, r, m, c):
     assert A * B == naive_mul(A, B)
 
 
+def test_mat_text_round_trip():
+    M = Mat.make(3, [(0, 1, 2), (2, 2, 0)])
+    assert Mat.from_text(3, M.to_text()) == M
+
+
+@pytest.mark.parametrize("line,bad", [("1 0 7", 7), ("-1 1 0", -1), ("0 2 1", 2)])
+def test_mat_text_outside_the_field(line, bad):
+    with pytest.raises(DomainError) as err:
+        Mat.from_text(2, "1 0 0\n" + line + "\n")
+    msg = str(err.value)
+    assert repr(line) in msg and f"entry {bad}" in msg and "q = 2" in msg
+
+
 def test_mat_shape_mismatch():
     with pytest.raises(DomainError):
         Mat.make(2, [[1, 0], [1]])
