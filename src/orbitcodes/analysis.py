@@ -11,8 +11,14 @@ M-cycle and h = P_w - P_v mod L, so one scan of position differences gives
 
     count(h) = #{v in U - 0 : vM^h in U} = q^dim(U cap U M^h) - 1
 
-for every h at once. The fast results are exact, not bounds; tests
-enforce equality against the naive oracle.
+for every h at once. Scalars commute with M, so when M^sigma = zeta I for
+a primitive root zeta of F_q, the q - 1 multiples of v lie on v's M-cycle
+L/(q - 1) apart, and with P(U) one vector per 1-dim subspace of U
+
+    count(h) = (q - 1) #{(v, w) in P(U)^2 : one M-cycle, P_w - P_v = h mod L/(q - 1)}
+
+which scans (q - 1)^2 fewer pairs. The fast results are exact, not
+bounds; tests enforce equality against the naive oracle.
 """
 
 from __future__ import annotations
@@ -30,12 +36,13 @@ from .errors import (
     OrbitCapError,
     ShapeMismatchError,
 )
-from .fields import FieldCtx, Poly, PrimeField, check_entries, field_context, lanes
+from .fields import FieldCtx, Poly, PrimeField, check_entries, field_context, lanes, primitive_root
 from .linalg import Mat, Subspace, matrix_order, row_times_mat
 
 ORBIT_CAP = 2**20
-# the most pairs one quadratic scan may take: the fast analyzer per M-cycle,
-# the exhaustive decoder per decode
+# the most pairs one quadratic scan may take: the fast analyzer per M-cycle
+# (pairs of 1-dim subspaces when the scalars lie in <M>), the exhaustive
+# decoder per decode
 PAIR_LIMIT = 2**24
 
 REGIMES = ("primitive", "irreducible", "completely_reducible", "non_semisimple", "general")
@@ -265,6 +272,11 @@ def _place(v: int, blocks) -> tuple[tuple, int, int]:
             key.append(None)
             continue
         cid, e, m = cycle_of(part)
+        if L == 1:
+            # nothing to merge yet: the CRT step below would give e, m, 0
+            P, L = e, m
+            key.append((cid, 0))
+            continue
         g = math.gcd(L, m)
         shift = (P - e) % g
         mg = m // g
@@ -272,6 +284,31 @@ def _place(v: int, blocks) -> tuple[tuple, int, int]:
         L *= mg
         key.append((cid, shift))
     return tuple(key), P, L
+
+
+@lru_cache(maxsize=128)
+def _scalar_shift(spec: ElementaryDivisorSpec) -> int | None:
+    """sigma with M^sigma = zeta I for the least primitive root zeta of F_q,
+    or None when q = 2 or no power of M is zeta I.
+
+    M^sigma = zeta I says x^sigma = zeta in every block: zeta lies on
+    cycle 0 (the powers of x) of each block at its x-log, and sigma solves
+    those logs mod the orders of x by the CRT step of _place, which records
+    no shift exactly when they agree.
+    """
+    q = spec.field.q
+    if q == 2:
+        return None
+    blocks = [(s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(spec)]
+    zeta = primitive_root(q)
+    try:
+        # the constant zeta in every block: zeta in the first lane of each
+        key, sigma, _ = _place(sum(zeta << s for s, _, _ in blocks), blocks)
+    except DomainError:
+        # a block too large to index: the general route indexes only the
+        # blocks a start lives in
+        return None
+    return sigma if all(c == (0, 0) for c in key) else None
 
 
 def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParams:
@@ -285,14 +322,23 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
     their lcm.
     """
     q, k = code.q, code.k
-    blocks = [
-        (s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(code.block_structure)
-    ]
+    spec = code.block_structure
+    blocks = [(s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(spec)]
+    start = code.start
+    if _scalar_shift(spec) is None:
+        # U's nonzero elements, packed; the zero combination comes first
+        f, vectors = 1, start.element_codes()[1:]
+    else:
+        # c v = v M^(j sigma) for every scalar c = zeta^j, so the q - 1
+        # multiples of v lie on v's M-cycle of length L, L/(q - 1) apart:
+        # one vector per 1-dim subspace, its position taken mod L/(q - 1),
+        # stands for all of them, and count(h) is q - 1 times its count
+        f, vectors = q - 1, lanes(q, code.n).points(start.codes)
     groups: dict[tuple, tuple[int, list[int]]] = {}
-    # U's nonzero elements, packed; the zero combination comes first
-    for v in code.start.element_codes()[1:]:
+    for v in vectors:
         key, P, L = _place(v, blocks)
-        groups.setdefault(key, (L, []))[1].append(P)
+        L //= f
+        groups.setdefault(key, (L, []))[1].append(P % L)
     cardinality = 1
     cycles = []
     for L, ps in groups.values():
@@ -300,7 +346,8 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
         if n * (n - 1) // 2 > PAIR_LIMIT:
             raise DomainError(
                 f"the pair scan of a k = {k} start would count {n * (n - 1) // 2} "
-                f"pairs on one M-cycle, above the limit of {PAIR_LIMIT}"
+                f"pairs of positions on one M-cycle (one position per 1-dim "
+                f"subspace when the scalars lie in <M>), above the limit of {PAIR_LIMIT}"
             )
         # count(d) on this M-cycle is the number of ordered pairs of its
         # positions that differ by d mod L (distinct elements have distinct
@@ -343,9 +390,9 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
                 # every h < cardinality <= L is its own residue mod L
                 counts.update({d: c for d, c in full.items() if d < cardinality})
         del counts[0]
-    # count(h) + 1 = q^dim(U cap UM^h) with dim < k for 0 < h < cardinality,
+    # f count(h) + 1 = q^dim(U cap UM^h) with dim < k for 0 < h < cardinality,
     # and UM^h lies at distance 2(k - dim)
-    dim_of = {q**d - 1: d for d in range(k)}
+    dim_of = {(q**d - 1) // f: d for d in range(k)}
     try:
         if not with_distribution:
             # the nearest codeword shares the most with U
@@ -356,7 +403,9 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
         for c, times in Counter(counts.values()).items():
             dist[k - dim_of[c]] += times
     except KeyError:
-        raise InternalInvariantError("a pair count is not q^dim - 1 with dim < k") from None
+        raise InternalInvariantError(
+            "a pair count is not (q^dim - 1)/f with dim < k, f = q - 1 or 1"
+        ) from None
     min_distance = next((2 * i for i in range(1, k + 1) if dist[i]), None)
     return CodeParams(cardinality, min_distance, tuple(dist))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, InternalInvariantError, SingularMatrixError
 from .fields import (
@@ -88,8 +89,10 @@ class ElementaryDivisorSpec:
         return math.lcm(*(self.block_order(i) for i in range(len(self.blocks))))
 
 
+@lru_cache(maxsize=128)
 def build_generator(spec: ElementaryDivisorSpec, require_invertible: bool = True) -> Mat:
-    """Block-diagonal matrix of companion blocks, one per (p, e) with poly p^e."""
+    """Block-diagonal matrix of companion blocks, one per (p, e) with poly p^e.
+    Cached per spec: search and the oracle re-check build the same one."""
     q = spec.field.q
     n = spec.n
     if require_invertible and any(p.coeff(0) == 0 for p, _ in spec.blocks):

@@ -76,6 +76,12 @@ def multiplicative_order(a: int, m: int) -> int:
     raise DomainError(f"order of {a} mod {m} not found")  # unreachable
 
 
+def primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group of F_q, q prime."""
+    factors = factorize(q - 1)
+    return next(g for g in range(1, q) if all(pow(g, (q - 1) // r, q) != 1 for r in factors))
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The prime field F_q. Elements are plain ints in range(q)."""
@@ -280,6 +286,7 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
+@lru_cache(maxsize=128)
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over F_q via gcd with x^(q^d) - x for d up to deg/2."""
     if f.degree is NEG_INF or f.degree == 0:
@@ -296,6 +303,7 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+@lru_cache(maxsize=128)
 def poly_order(f: Poly) -> int:
     """Multiplicative order of x in F_q[x]/(f); requires f(0) != 0.
 
@@ -411,6 +419,25 @@ class Lanes:
                 block = [add(x, r) for x in block]
                 grown += block
             out = grown
+        return out
+
+    def points(self, rows) -> list[int]:
+        """One vector from each 1-dim subspace of span(rows), for independent
+        rows: the (q^k - 1)/(q - 1) combinations whose first nonzero
+        coefficient is 1, i.e. rows[i] + span(rows[i+1:]) for each i."""
+        add = self.add
+        out, tail = [], [0]
+        for i in range(len(rows) - 1, -1, -1):
+            r = rows[i]
+            block = [add(x, r) for x in tail]
+            out += block
+            if i:
+                # grow tail to span(rows[i:]) by the other multiples of r
+                grown = tail + block
+                for _ in range(self.q - 2):
+                    block = [add(x, r) for x in block]
+                    grown += block
+                tail = grown
         return out
 
     def ascending(self) -> Iterator[int]:

@@ -16,8 +16,8 @@ from .analysis import CyclicOrbitCode, analyze, analyze_naive, codeword, make_co
 from .canonical import ElementaryDivisorSpec
 from .decoder import decode_exhaustive, decode_lf
 from .errors import DomainError, InternalInvariantError
-from .fields import Poly, PrimeField
-from .linalg import Mat, Subspace, subspace_sum
+from .fields import Poly, PrimeField, lanes
+from .linalg import Mat, Subspace
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,49 @@ def _pool(jobs: int):
     return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
 
 
-def _random_full_rank_rows(rng: random.Random, q: int, rows: int, cols: int):
-    """Rejection-sample a full-rank rows x cols matrix; returns the raw
+def _random_rows(rng: random.Random, q: int, rows: int, cols: int) -> list[int]:
+    """`rows` random vectors of F_q^cols, packed. Each coordinate, row by row,
+    is drawn by randrange(q)'s rule, getrandbits(q.bit_length()) until it is
+    below q, so the draws take the same generator words in the same order
+    as rng.randrange(q) per coordinate and leave the same state."""
+    bits, getrandbits = q.bit_length(), rng.getrandbits
+    shifts = lanes(q, cols).shifts
+    out = []
+    for _ in range(rows):
+        code = 0
+        for s in shifts:
+            c = getrandbits(bits)
+            while c >= q:
+                c = getrandbits(bits)
+            code |= c << s
+        out.append(code)
+    return out
+
+
+def _random_full_rank_rows(
+    rng: random.Random, q: int, rows: int, cols: int
+) -> tuple[list[int], Subspace]:
+    """Rejection-sample a full-rank rows x cols matrix; returns its packed
     rows plus their row space (free canonicalization)."""
     while True:
-        raw = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        space = Subspace.from_rows(q, cols, raw)
+        raw = _random_rows(rng, q, rows, cols)
+        space = Subspace.from_packed(q, cols, raw)
         if space.dim == rows:
             return raw, space
+
+
+def _combinations(q: int, n: int, coeffs: list[int], rows) -> list[int]:
+    """sum_j c_j rows[j] for each packed coefficient row c of F_q^len(rows),
+    rows packed in F_q^n."""
+    L, unpack = lanes(q, n), lanes(q, len(rows)).unpack
+    out = []
+    for c in coeffs:
+        row = 0
+        for a, v in zip(unpack(c), rows):
+            if a:
+                row = L.add(row, L.scale(v, a))
+        out.append(row)
+    return out
 
 
 def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Subspace:
@@ -58,34 +93,26 @@ def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Su
         raise DomainError("erasures and errors must be >= 0")
     if erasures > k:
         raise DomainError(f"cannot erase {erasures} dimensions from a {k}-dim space")
-    keep = k - erasures
     # V' = random keep-dim subspace of V via a random full-rank coefficient matrix
-    coeff, _ = _random_full_rank_rows(rng, q, keep, k)
-    r_rows = [
-        tuple(sum(c * row[j] for c, row in zip(cr, V.rows)) % q for j in range(n))
-        for cr in coeff
-    ]
-    # each error vector is sampled outside span(V + R built so far), so the
+    coeff, _ = _random_full_rank_rows(rng, q, k - erasures, k)
+    r_rows = _combinations(q, n, coeff, V.codes)
+    # each error vector is sampled outside V + the errors so far, so the
     # received space has dimension keep+errors and meets V exactly in V'
-    blocked = subspace_sum(V, Subspace.from_rows(q, n, r_rows))
+    blocked = V
     for _ in range(errors):
         if blocked.dim == n:
             raise DomainError("ambient space exhausted: no room for an error vector")
         while True:
-            v = tuple(rng.randrange(q) for _ in range(n))
-            if not blocked.contains(v):
+            v = _random_rows(rng, q, 1, n)[0]
+            if blocked.residual_rank([v]):
                 break
         r_rows.append(v)
-        blocked = subspace_sum(blocked, Subspace.from_rows(q, n, [v]))
+        blocked = Subspace.from_packed(q, n, blocked.codes + (v,))
     m = len(r_rows)
     if m == 0:
-        return Subspace.from_rows(q, n, [])
+        return Subspace.from_packed(q, n, [])
     mix, _ = _random_full_rank_rows(rng, q, m, m)
-    mixed = [
-        tuple(sum(c * row[j] for c, row in zip(mr, r_rows)) % q for j in range(n))
-        for mr in mix
-    ]
-    return Subspace.from_rows(q, n, mixed)
+    return Subspace.from_packed(q, n, _combinations(q, n, mix, r_rows))
 
 
 def transmit(V: Subspace, cfg: ChannelConfig) -> Subspace:

@@ -214,22 +214,36 @@ class Subspace:
     def matrix(self) -> Mat:
         return Mat(self.q, self.rows)
 
+    @cached_property
+    def _pivot_rows(self) -> tuple[tuple[int, int], ...]:
+        """(bit offset of the pivot lane, packed row) per RREF basis row."""
+        w = lanes(self.q, self.n).w
+        return tuple(zip([p * w for p in self.pivots], self.codes))
+
     def residual_rank(self, codes) -> int:
         """dim(self + span(codes)) - dim(self) for packed rows of F_q^n:
         the rank of what is left of the rows after reducing them against
-        this RREF basis."""
+        this RREF basis.
+
+        Forward elimination only: each row is cleared at the pivot lanes
+        found so far, in the order they were found, and a row with anything
+        left adds its lowest lane as a pivot. Every pivot row is zero at the
+        pivot lanes before it, so clearing a later lane never refills an
+        earlier one; rows already placed are not reduced further."""
         L = lanes(self.q, self.n)
-        q, m, add, scale = L.q, L.m, L.add, L.scale
-        basis = [(p * L.w, r) for p, r in zip(self.pivots, self.codes)]
-        left = []
+        q, w, m, add, scale = L.q, L.w, L.m, L.add, L.scale
+        piv = list(self._pivot_rows)
         for v in codes:
-            for s, r in basis:
+            for s, r in piv:
                 c = (v >> s) & m
                 if c:
                     v = add(v, r if c == q - 1 else scale(r, q - c))
             if v:
-                left.append(v)
-        return len(_rref_rows(left, L)[1]) if left else 0
+                s = (v & -v).bit_length() - 1
+                s -= s % w
+                c = (v >> s) & m
+                piv.append((s, v if c == 1 else scale(v, pow(c, -1, q))))
+        return len(piv) - self.dim
 
     def contains(self, v) -> bool:
         if len(v) != self.n:

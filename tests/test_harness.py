@@ -12,6 +12,7 @@ from orbitcodes import (
     ChannelConfig,
     DomainError,
     Poly,
+    PrimeField,
     SpreadSpec,
     Subspace,
     analyze,
@@ -26,7 +27,8 @@ from orbitcodes import (
     subspace_distance,
     transmit,
 )
-from orbitcodes.harness import SimulationStats, _better
+from orbitcodes.fields import lanes
+from orbitcodes.harness import SimulationStats, _better, _random_full_rank_rows
 
 from conftest import P2, X4_X_1, X6_X_1, rand_full_rank, single_block
 
@@ -314,3 +316,63 @@ def test_search_covers_orbit_sizes_n6():
     assert rep.cell(2).cardinality == 63
     assert rep.cell(4).cardinality == 63
     assert rep.cell(6).cardinality == 9
+
+
+# random_search(q, k, n, least primitive, 200 trials, seed).to_json_dict()
+# cells, as (distance, cardinality, trial, start rows), captured before the
+# projective count, the packed sampler and the forward-elimination oracle
+SEARCH_GOLDEN = {
+    (2, 4, 8, 1): [
+        (2, 255, 20, ["1 0 0 0 0 0 0 0", "0 1 0 1 1 1 0 0", "0 0 1 0 1 1 0 1", "0 0 0 0 0 0 1 1"]),
+        (4, 255, 0, ["1 0 0 0 1 0 0 1", "0 0 1 0 1 1 0 1", "0 0 0 1 1 0 0 1", "0 0 0 0 0 0 1 0"]),
+    ],
+    (2, 4, 8, 0x5EED): [
+        (2, 255, 27, ["1 0 0 0 0 0 1 0", "0 1 0 1 0 0 0 1", "0 0 1 1 0 1 1 0", "0 0 0 0 1 0 0 0"]),
+        (4, 255, 0, ["1 0 0 1 1 0 0 0", "0 1 0 1 1 1 0 0", "0 0 1 1 1 1 0 1", "0 0 0 0 0 0 1 0"]),
+    ],
+    (3, 3, 6, 1): [
+        (2, 364, 4, ["1 0 2 0 0 1", "0 1 1 0 1 0", "0 0 0 1 1 0"]),
+        (4, 364, 0, ["1 0 0 0 1 2", "0 1 0 2 0 2", "0 0 1 1 1 1"]),
+    ],
+    (3, 3, 6, 0x5EED): [
+        (2, 364, 1, ["1 0 0 0 0 0", "0 1 0 1 1 0", "0 0 1 2 0 2"]),
+        (4, 364, 0, ["1 0 0 1 2 0", "0 1 0 0 2 1", "0 0 1 0 1 2"]),
+    ],
+}
+SEARCH_POLYS = {2: "1 0 1 1 1 0 0 0 1", 3: "2 1 0 0 0 0 1"}
+SEARCH_ORDERS = {2: 255, 3: 728}
+
+
+@pytest.mark.parametrize("q,k,n,seed", list(SEARCH_GOLDEN))
+def test_random_search_golden(q, k, n, seed):
+    rep = random_search(q, k, n, least_primitive(PrimeField(q), n), trials=200, seed=seed)
+    assert rep.to_json_dict() == {
+        "q": q,
+        "k": k,
+        "n": n,
+        "blocks": [{"poly": SEARCH_POLYS[q], "exp": 1}],
+        "generator_order": SEARCH_ORDERS[q],
+        "trials": 200,
+        "seed": seed,
+        "cells": [
+            {"distance": d, "cardinality": card, "trial": t, "start": start}
+            for d, card, t, start in SEARCH_GOLDEN[q, k, n, seed]
+        ],
+    }
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 257])
+def test_sampler_draws_as_randrange(q):
+    # the packed sampler must leave the generator exactly where a loop of
+    # randrange(q) per coordinate does, rejected matrices included
+    rows, cols = (3, 3) if q > 2 else (4, 4)
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        codes, space = _random_full_rank_rows(rng, q, rows, cols)
+        while True:
+            raw = [[ref.randrange(q) for _ in range(cols)] for _ in range(rows)]
+            if Subspace.from_rows(q, cols, raw).dim == rows:
+                break
+        assert rng.getstate() == ref.getstate()
+        assert space == Subspace.from_rows(q, cols, raw)
+        assert [lanes(q, cols).unpack(c) for c in codes] == [tuple(r) for r in raw]
