@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .canonical import ElementaryDivisorSpec, poly_pow
+from .canonical import ElementaryDivisorSpec, matrix_order, poly_pow
 from .errors import (
     DomainError,
     InternalInvariantError,
@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import FieldCtx, Poly, PrimeField, check_entries, field_context, lanes, primitive_root
-from .linalg import Mat, Subspace, matrix_order, row_times_mat
+from .linalg import Mat, Subspace, row_times_mat
 
 ORBIT_CAP = 2**20
 # the most pairs one quadratic scan may take: the fast analyzer per M-cycle

@@ -18,9 +18,11 @@ from .errors import DomainError, InternalInvariantError, SingularMatrixError
 from .fields import (
     Poly,
     PrimeField,
-    irreducible_polys,
+    factor_poly,
+    factorize,
     is_irreducible,
     poly_order,
+    power_order,
 )
 from .linalg import Mat, companion_matrix
 
@@ -33,14 +35,6 @@ def poly_pow(p: Poly, e: int) -> Poly:
     for _ in range(e):
         out = out * p
     return out
-
-
-def _ceil_log(q: int, e: int) -> int:
-    """Least t with q^t >= e."""
-    t = 0
-    while q**t < e:
-        t += 1
-    return t
 
 
 @dataclass(frozen=True)
@@ -80,10 +74,7 @@ class ElementaryDivisorSpec:
 
     def block_order(self, i: int) -> int:
         """ord(p^e) = ord(p) * q^ceil(log_q e)."""
-        p, e = self.blocks[i]
-        if p.coeff(0) == 0:
-            raise DomainError("block with p(0) = 0 has no multiplicative order")
-        return poly_order(p) * self.field.q ** _ceil_log(self.field.q, e)
+        return power_order(*self.blocks[i])
 
     def generator_order(self) -> int:
         return math.lcm(*(self.block_order(i) for i in range(len(self.blocks))))
@@ -162,35 +153,27 @@ def char_poly(A: Mat) -> Poly:
     return state.get((1 << n) - 1, zero)
 
 
-def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
-    """Factor into monic irreducibles by trial division, ascending
-    (degree, integer encoding) order. Deterministic."""
-    if f.is_zero:
-        raise DomainError("cannot factor the zero polynomial")
-    f = f.monic()
-    out: list[tuple[Poly, int]] = []
-    d = 1
-    while f.degree >= 1:
-        if d > f.degree // 2:
-            # no factor of degree <= deg/2 remains, so f itself is irreducible
-            if not is_irreducible(f):
-                raise InternalInvariantError(f"residual {f} should be irreducible")
-            out.append((f, 1))
-            break
-        for p in irreducible_polys(f.field, d):
-            mult = 0
-            while True:
-                quot, rem = divmod(f, p)
-                if not rem.is_zero:
-                    break
-                f = quot
-                mult += 1
-            if mult:
-                out.append((p, mult))
-            if f.degree < 1:
-                break
-        d += 1
-    return out
+def matrix_order(M: Mat) -> int:
+    """Least t >= 1 with M^t = I.
+
+    The minimal polynomial of M divides chi(M), so the order divides
+    poly_order(chi); each prime is stripped from that multiple while the
+    reduced power is still I.
+    """
+    n = M.nrows
+    if n != M.ncols:
+        raise SingularMatrixError("order of a non-square matrix")
+    chi = char_poly(M)
+    if chi.coeff(0) == 0:
+        raise SingularMatrixError("a singular matrix has no multiplicative order")
+    m = poly_order(chi)
+    ident = Mat.identity(M.q, n)
+    if M**m != ident:
+        raise InternalInvariantError(f"M^{m} is not I though chi(x) divides x^{m} - 1")
+    for r in factorize(m):
+        while m % r == 0 and M ** (m // r) == ident:
+            m //= r
+    return m
 
 
 def _evaluate_at_matrix(p: Poly, A: Mat) -> Mat:
@@ -210,15 +193,15 @@ def _evaluate_at_matrix(p: Poly, A: Mat) -> Mat:
     return out
 
 
-def matrix_type(A: Mat, max_dim: int = MAX_CLASSIFY_DIM) -> MatrixType:
+def matrix_type(A: Mat) -> MatrixType:
     """Recover (partitions, orders) from the kernel-dimension sequences
     dim ker p(A)^j of each irreducible factor p of the characteristic
     polynomial."""
     n = A.nrows
     if n != A.ncols:
         raise DomainError("matrix type of a non-square matrix")
-    if n > max_dim:
-        raise DomainError(f"classification limited to n <= {max_dim}")
+    if n > MAX_CLASSIFY_DIM:
+        raise DomainError(f"classification limited to n <= {MAX_CLASSIFY_DIM}")
     if A.rank() != n:
         raise SingularMatrixError("matrix type needs an invertible matrix")
     records = []
@@ -250,8 +233,7 @@ def matrix_type(A: Mat, max_dim: int = MAX_CLASSIFY_DIM) -> MatrixType:
             raise InternalInvariantError("partition does not sum to the multiplicity")
         # order on the p-primary component: ord(p) lifted by the char power
         # needed to kill the largest nilpotent part
-        order = poly_order(p) * A.q ** _ceil_log(A.q, partition[0])
-        records.append((order, deg, partition))
+        records.append((power_order(p, partition[0]), deg, partition))
     records.sort()
     return MatrixType(
         partitions=tuple(r[2] for r in records),

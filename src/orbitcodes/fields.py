@@ -54,14 +54,6 @@ def factorize(m: int) -> dict[int, int]:
     return out
 
 
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m, ascending."""
-    divs = [1]
-    for p, e in factorize(m).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def multiplicative_order(a: int, m: int) -> int:
     """Order of a in (Z/m)^*. Requires gcd(a, m) = 1."""
     if m == 1:
@@ -304,33 +296,41 @@ def is_irreducible(f: Poly) -> bool:
 
 
 @lru_cache(maxsize=128)
+def _irreducible_order(p: Poly) -> int:
+    """Order of x mod a monic irreducible p with p(0) != 0: strip each prime
+    from q^deg - 1 while x to the remaining power is still 1."""
+    m = p.field.q**p.degree - 1
+    x, one = Poly.make(p.field, [0, 1]), Poly.make(p.field, [1])
+    for r in factorize(m):
+        while m % r == 0 and pow_mod(x, m // r, p) == one:
+            m //= r
+    return m
+
+
+def power_order(p: Poly, e: int) -> int:
+    """Order of x mod p^e for irreducible p with p(0) != 0:
+    ord(p) * q^t, t the least with q^t >= e (Lidl & Niederreiter, Thm 3.8)."""
+    if p.coeff(0) == 0:
+        raise DomainError("x divides the modulus, so no power of x is 1")
+    q = p.field.q
+    lift = 1
+    while lift < e:
+        lift *= q
+    return _irreducible_order(p.monic()) * lift
+
+
+@lru_cache(maxsize=128)
 def poly_order(f: Poly) -> int:
     """Multiplicative order of x in F_q[x]/(f); requires f(0) != 0.
 
-    Irreducible moduli use the divisor scan of q^n - 1; anything else falls
-    back to bounded power iteration.
+    The lcm of ord(p^e) over the factorization f = prod p^e (coprime
+    factors combine by lcm, Lidl & Niederreiter, Thm 3.9).
     """
     if f.degree is NEG_INF or f.degree < 1:
         raise DomainError("order needs a modulus of degree >= 1")
     if f.coeff(0) == 0:
         raise DomainError("x divides the modulus, so no power of x is 1")
-    f = f.monic()
-    q = f.field.q
-    n = f.degree
-    x = Poly.make(f.field, [0, 1])
-    one = Poly.make(f.field, [1])
-    if is_irreducible(f):
-        for e in divisors(q**n - 1):
-            if pow_mod(x, e, f) == one:
-                return e
-        raise DomainError("order scan failed")  # unreachable for irreducible f
-    cap = q**n
-    t = x % f
-    for e in range(1, cap + 1):
-        if t == one:
-            return e
-        t = (t * x) % f
-    raise DomainError(f"x has no order below {cap} mod {f}")
+    return math.lcm(*(power_order(p, e) for p, e in factor_poly(f)))
 
 
 def is_primitive(f: Poly) -> bool:
@@ -468,6 +468,36 @@ def irreducible_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
             yield f
 
 
+def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
+    """Factor into monic irreducibles by trial division, ascending
+    (degree, integer encoding) order. Deterministic. The residual is tested
+    for irreducibility before each new degree, so a large prime factor ends
+    the scan at once."""
+    if f.is_zero:
+        raise DomainError("cannot factor the zero polynomial")
+    f = f.monic()
+    out: list[tuple[Poly, int]] = []
+    d = 1
+    while f.degree >= 1:
+        if is_irreducible(f):
+            out.append((f, 1))
+            break
+        for p in irreducible_polys(f.field, d):
+            mult = 0
+            while True:
+                quot, rem = divmod(f, p)
+                if not rem.is_zero:
+                    break
+                f = quot
+                mult += 1
+            if mult:
+                out.append((p, mult))
+            if f.degree < 1:
+                break
+        d += 1
+    return out
+
+
 def find_irreducible_with_order(field: PrimeField, degree: int, order: int) -> Poly:
     """Least monic irreducible of this degree whose root has the given order.
 
@@ -530,11 +560,7 @@ class FieldCtx:
         self.q = modulus.field.q
         self.n = modulus.degree
         self.is_irreducible = is_irreducible(modulus)
-        self.is_primitive = (
-            self.is_irreducible
-            and modulus.coeff(0) != 0
-            and poly_order(modulus) == self.q**self.n - 1
-        )
+        self.is_primitive = is_primitive(modulus)
         # x^n mod f, the single reduction row needed for multiply-by-x
         self._xn_row = tuple((-modulus.coeff(i)) % self.q for i in range(self.n))
         self.zero = (0,) * self.n

@@ -16,7 +16,7 @@ from .analysis import CyclicOrbitCode, analyze, analyze_naive, codeword, make_co
 from .canonical import ElementaryDivisorSpec
 from .decoder import decode_exhaustive, decode_lf
 from .errors import DomainError, InternalInvariantError
-from .fields import Poly, PrimeField, lanes
+from .fields import Poly, lanes
 from .linalg import Mat, Subspace
 
 
@@ -30,16 +30,23 @@ class ChannelConfig:
     seed: int
 
 
-def _pool(jobs: int):
-    """A process pool for `jobs` chunks, with at most one worker per CPU.
+def _run_chunks(fn, args: tuple, trials: int, jobs: int) -> list:
+    """fn(*args, lo, hi) over the trials [0, trials), results in chunk order.
 
-    Chunks, not workers, fix the trial split, so the output does not
-    depend on the CPU count. The import waits for first use: it pulls in
-    multiprocessing, which a serial run never needs.
+    A serial run, or one with fewer than 4 trials per job, is one chunk.
+    Otherwise `jobs` chunks go to a process pool with at most one worker
+    per CPU. Chunks, not workers, fix the trial split, so the output does
+    not depend on the CPU count. The pool import waits for first use: it
+    pulls in multiprocessing, which a serial run never needs.
     """
+    if jobs <= 1 or trials < 4 * jobs:
+        return [fn(*args, 0, trials)]
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+    bounds = [(i * trials) // jobs for i in range(jobs + 1)]
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return [fut.result() for fut in futures]
 
 
 def _random_rows(rng: random.Random, q: int, rows: int, cols: int) -> list[int]:
@@ -108,18 +115,15 @@ def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Su
                 break
         r_rows.append(v)
         blocked = Subspace.from_packed(q, n, blocked.codes + (v,))
-    m = len(r_rows)
-    if m == 0:
-        return Subspace.from_packed(q, n, [])
-    mix, _ = _random_full_rank_rows(rng, q, m, m)
-    return Subspace.from_packed(q, n, _combinations(q, n, mix, r_rows))
+    # no random remix of these rows: the canonical row space returned is
+    # the same for every basis of it
+    return Subspace.from_packed(q, n, r_rows)
 
 
 def transmit(V: Subspace, cfg: ChannelConfig) -> Subspace:
     """Send V through the erasure+error channel; deterministic per seed.
 
-    Stream order: erasure coefficient matrix, then each error vector, then
-    the remixing matrix."""
+    Stream order: erasure coefficient matrix, then each error vector."""
     return _transmit(V, cfg.erasures, cfg.errors, random.Random(cfg.seed))
 
 
@@ -193,17 +197,9 @@ def simulate_decoding(
     then the transmit stream. Deterministic for any jobs value."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if jobs <= 1 or trials < 4 * jobs:
-        return _simulate_range(code, cfg, 0, trials)
     stats = SimulationStats()
-    bounds = [(i * trials) // jobs for i in range(jobs + 1)]
-    with _pool(jobs) as pool:
-        futures = [
-            pool.submit(_simulate_range, code, cfg, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        for fut in futures:
-            stats.merge(fut.result())
+    for chunk in _run_chunks(_simulate_range, (code, cfg), trials, jobs):
+        stats.merge(chunk)
     return stats
 
 
@@ -287,18 +283,9 @@ def _better(a: tuple[int, int], b: tuple[int, int] | None) -> bool:
 
 
 def _search_range(
-    q: int,
-    k: int,
-    n: int,
-    block_data: tuple[tuple[tuple[int, ...], int], ...],
-    lo: int,
-    hi: int,
-    seed: int,
+    spec: ElementaryDivisorSpec, k: int, seed: int, lo: int, hi: int
 ) -> dict[int, tuple[int, int, tuple]]:
-    field_ = PrimeField(q)
-    spec = ElementaryDivisorSpec.make(
-        field_, [(Poly(field_, coeffs), e) for coeffs, e in block_data]
-    )
+    q, n = spec.field.q, spec.n
     # built once; each trial swaps in its own start
     base_code = make_code(spec, Mat.identity(q, n).rows[:k])
     best: dict[int, tuple[int, int, tuple]] = {}
@@ -342,22 +329,12 @@ def random_search(
         raise DomainError("generator field does not match q")
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}")
-    block_data = tuple((p.coeffs, e) for p, e in generator_spec.blocks)
-    if jobs <= 1 or trials < 4 * jobs:
-        best = _search_range(q, k, n, block_data, 0, trials, seed)
-    else:
-        bounds = [(i * trials) // jobs for i in range(jobs + 1)]
-        best = {}
-        with _pool(jobs) as pool:
-            futures = [
-                pool.submit(_search_range, q, k, n, block_data, lo, hi, seed)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            for fut in futures:
-                for d, (card, t, rows) in fut.result().items():
-                    cur = best.get(d)
-                    if _better((card, t), cur and (cur[0], cur[1])):
-                        best[d] = (card, t, rows)
+    best: dict[int, tuple[int, int, tuple]] = {}
+    for chunk in _run_chunks(_search_range, (generator_spec, k, seed), trials, jobs):
+        for d, (card, t, rows) in chunk.items():
+            cur = best.get(d)
+            if _better((card, t), cur and (cur[0], cur[1])):
+                best[d] = (card, t, rows)
 
     # naive re-verification of every cell before it enters the report
     cells = []
@@ -374,7 +351,7 @@ def random_search(
         q=q,
         k=k,
         n=n,
-        blocks=block_data,
+        blocks=tuple((p.coeffs, e) for p, e in generator_spec.blocks),
         generator_order=generator_spec.generator_order(),
         trials=trials,
         seed=seed,

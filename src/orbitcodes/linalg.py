@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, SingularMatrixError
-from .fields import FieldCtx, Lanes, Poly, RingElem, check_entries, divisors, lanes, phi
+from .fields import FieldCtx, Lanes, Poly, RingElem, check_entries, lanes, phi
 
 Row = tuple[int, ...]
 
@@ -337,34 +337,6 @@ def companion_matrix(f: Poly) -> Mat:
     for j in range(n):
         rows[n - 1][j] = (-f.coeff(j)) % q
     return Mat.make(q, rows)
-
-
-def matrix_order(M: Mat, order_multiple: int | None = None, cap: int | None = None) -> int:
-    """Least t >= 1 with M^t = I.
-
-    With a known multiple of the order, scans its divisors with fast
-    powering; otherwise iterates products up to `cap` (default q^n, which
-    bounds every element order in GL_n(F_q)).
-    """
-    n = M.nrows
-    if n != M.ncols:
-        raise SingularMatrixError("order of a non-square matrix")
-    ident = Mat.identity(M.q, n)
-    if order_multiple is not None:
-        for d in divisors(order_multiple):
-            if M**d == ident:
-                return d
-        raise DomainError(f"order does not divide {order_multiple}")
-    if cap is None:
-        cap = M.q**n
-    acc = M
-    for t in range(1, cap + 1):
-        if acc == ident:
-            return t
-        acc = acc * M
-    raise SingularMatrixError(
-        f"no power up to {cap} equals the identity; matrix is singular or cap too small"
-    )
 
 
 def psi(A: Mat, ctx: FieldCtx) -> RingElem:

@@ -102,6 +102,10 @@ def test_factor_poly_goldens():
     assert factor_poly(f) == [(poly_of(2, [1, 1, 1]), 2)]
     g = poly_of(2, [0, 1, 1])  # x(x+1)
     assert factor_poly(g) == [(poly_of(2, [0, 1]), 1), (poly_of(2, [1, 1]), 1)]
+    # a prime residual of degree 31 is recognised, not trial-divided
+    p31 = poly_of(2, [1, 0, 0, 1] + [0] * 27 + [1])  # x^31+x^3+1
+    h = X2_X_1 * X2_X_1 * poly_of(2, [1, 1]) * p31
+    assert factor_poly(h) == [(poly_of(2, [1, 1]), 1), (X2_X_1, 2), (p31, 1)]
 
 
 # -- elementary divisor specs ----------------------------------------------
@@ -155,12 +159,41 @@ def test_build_generator_rejects_singular():
         ([(X2_X_1, 2)], 6),
         ([(X3_X_1, 1), (X2_X_1, 1)], 21),
         ([(X4_NONPRIM, 1)], 5),
+        # exponents e >= q lift ord(p) by q^ceil(log_q e)
+        ([(poly_of(2, [1, 1]), 3)], 4),
+        ([(X3_X_1, 2)], 14),
+        ([(poly_of(3, [1, 1]), 4)], 18),
     ],
 )
 def test_generator_order_matches_matrix_order(blocks, order):
-    spec = ElementaryDivisorSpec.make(P2, blocks)
+    spec = ElementaryDivisorSpec.make(blocks[0][0].field, blocks)
     assert spec.generator_order() == order
-    assert matrix_order(build_generator(spec), order_multiple=order * 8) == order
+    assert matrix_order(build_generator(spec)) == order
+
+
+def _primes_dividing(m):
+    return [r for r in range(2, m + 1) if m % r == 0 and all(r % s for s in range(2, r))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_matrix_order_of_random_invertible_matrices(q):
+    rng = random.Random(SEED + 7 * q)
+    for _ in range(12):
+        n = rng.randrange(1, 7)
+        while True:
+            M = Mat.make(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+            if M.rank() == n:
+                break
+        o = matrix_order(M)
+        I = Mat.identity(q, n)
+        assert M**o == I
+        for r in _primes_dividing(o):
+            assert M ** (o // r) != I
+
+
+def test_matrix_order_rejects_singular():
+    with pytest.raises(SingularMatrixError):
+        matrix_order(Mat.make(2, [[1, 1], [1, 1]]))
 
 
 # -- matrix types -----------------------------------------------------------

@@ -22,7 +22,6 @@ from orbitcodes import (
     poly_order,
 )
 from orbitcodes.fields import (
-    divisors,
     factorize,
     irreducible_polys,
     monic_polys,
@@ -49,12 +48,6 @@ def test_factorize_small():
     assert factorize(1) == {}
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(1023) == {3: 1, 11: 1, 31: 1}
-
-
-@pytest.mark.parametrize("n", [1, 2, 6, 15, 63, 255, 341])
-def test_divisors_complete(n):
-    ds = divisors(n)
-    assert ds == sorted(d for d in range(1, n + 1) if n % d == 0)
 
 
 @pytest.mark.parametrize("a,m,expect", [(2, 7, 3), (2, 21, 6), (3, 10, 4), (2, 341, 10)])
@@ -144,10 +137,31 @@ def test_reducible_rejected():
 
 @pytest.mark.parametrize(
     "p,order",
-    [(X4_NONPRIM, 5), (X6_X_1, 63), (X4_X_1, 15), (X2_1_F3, 4)],
+    [
+        (X4_NONPRIM, 5),
+        (X6_X_1, 63),
+        (X4_X_1, 15),
+        (X2_1_F3, 4),
+        (poly_of(2, [1, 3, 3, 1]), 4),  # (x+1)^3
+        (poly_of(2, [1, 5, 10, 10, 5, 1]), 8),  # (x+1)^5
+    ],
 )
 def test_poly_order_goldens(p, order):
     assert poly_order(p) == order
+
+
+def test_poly_order_of_large_reducible_modulus():
+    # (x^5+x^2+1)(x^31+x^3+1): primitive factors of orders 31 and 2^31 - 1,
+    # both prime; x has order below 2^36 but far too large to step to
+    p5 = poly_of(2, [1, 0, 1, 0, 0, 1])
+    p31 = poly_of(2, [1, 0, 0, 1] + [0] * 27 + [1])
+    f = p5 * p31
+    o = poly_order(f)
+    assert o == 31 * (2**31 - 1)
+    x, one = poly_of(2, [0, 1]), poly_of(2, [1])
+    assert pow_mod(x, o, f) == one
+    for r in (31, 2**31 - 1):
+        assert pow_mod(x, o // r, f) != one
 
 
 @pytest.mark.parametrize("q,degree", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
