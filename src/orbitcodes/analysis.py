@@ -286,7 +286,6 @@ def _place(v: int, blocks) -> tuple[tuple, int, int]:
     return tuple(key), P, L
 
 
-@lru_cache(maxsize=128)
 def _scalar_shift(spec: ElementaryDivisorSpec) -> int | None:
     """sigma with M^sigma = zeta I for the least primitive root zeta of F_q,
     or None when q = 2 or no power of M is zeta I.
@@ -311,6 +310,15 @@ def _scalar_shift(spec: ElementaryDivisorSpec) -> int | None:
     return sigma if all(c == (0, 0) for c in key) else None
 
 
+@lru_cache(maxsize=128)
+def _placement(spec: ElementaryDivisorSpec) -> tuple[tuple, int | None]:
+    """The blocks _place reads, (bit offset, bit mask, cycle_of_code) per
+    block, and _scalar_shift(spec): everything _analyze_blocks needs of the
+    spec behind one cache lookup."""
+    blocks = tuple((s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(spec))
+    return blocks, _scalar_shift(spec)
+
+
 def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParams:
     """Exact parameters from count(h) for any block-structured generator.
 
@@ -322,10 +330,9 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
     their lcm.
     """
     q, k = code.q, code.k
-    spec = code.block_structure
-    blocks = [(s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(spec)]
+    blocks, sigma = _placement(code.block_structure)
     start = code.start
-    if _scalar_shift(spec) is None:
+    if sigma is None:
         # U's nonzero elements, packed; the zero combination comes first
         f, vectors = 1, start.element_codes()[1:]
     else:

@@ -26,12 +26,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, reduce
+from typing import Iterator, NamedTuple
 
 from .analysis import PAIR_LIMIT, CodeParams, CyclicOrbitCode, analyze, codeword
 from .errors import DomainError, InternalInvariantError
-from .fields import FieldCtx, field_context
+from .fields import FieldCtx, Lanes, field_context, lanes
 from .linalg import Subspace
 
 
@@ -138,6 +138,21 @@ def decode_exhaustive(R: Subspace, code: CyclicOrbitCode) -> DecodeResult:
     return _result(R, code, min(tied), dim_of[top], len(tied) == 1, examined)
 
 
+def _check_f(f: int, kp: int) -> None:
+    if not 0 <= f < kp:
+        raise DomainError(f"need 0 <= f < k' = {kp}, got f = {f}")
+
+
+def _lf_codes(codes, f: int, lanes_: Lanes) -> Iterator[int]:
+    """lf_set on packed independent rows, packed and in the same order."""
+    add = lanes_.add
+    multiples = [[lanes_.scale(r, c) for c in range(1, lanes_.q)] for r in codes]
+    for s in range(1, f + 2):
+        for support in itertools.combinations(multiples, s):
+            for terms in itertools.product(*support):
+                yield reduce(add, terms)
+
+
 def lf_set(basis_rows, f: int, q: int) -> list[tuple[int, ...]]:
     """Combinations of the basis with support size <= f+1 and nonzero
     coefficients on the support, smallest support first.
@@ -147,21 +162,12 @@ def lf_set(basis_rows, f: int, q: int) -> list[tuple[int, ...]]:
     """
     rows = [tuple(int(x) % q for x in r) for r in basis_rows]
     kp = len(rows)
-    if not 0 <= f < kp:
-        raise DomainError(f"need 0 <= f < k' = {kp}, got f = {f}")
+    _check_f(f, kp)
     n = len(rows[0])
     if Subspace.from_rows(q, n, rows).dim != kp:
         raise DomainError("basis rows are linearly dependent")
-    out = []
-    for s in range(1, f + 2):
-        for idxs in itertools.combinations(range(kp), s):
-            for coeffs in itertools.product(range(1, q), repeat=s):
-                v = [0] * n
-                for c, i in zip(coeffs, idxs):
-                    for j, x in enumerate(rows[i]):
-                        v[j] = (v[j] + c * x) % q
-                out.append(tuple(v))
-    return out
+    L = lanes(q, n)
+    return [L.unpack(v) for v in _lf_codes([L.pack(r) for r in rows], f, L)]
 
 
 def lf_vector_count(q: int, k_prime: int, f: int) -> int:
@@ -197,6 +203,7 @@ def decode_lf(R: Subspace, code: CyclicOrbitCode, f: int | None = None) -> Decod
     ctx, params, u_places, _ = _code_info(code)
     card = params.cardinality
     k, kp = code.k, R.dim
+    _check_f(f, kp)
     # distance <= delta-1 is equivalent to this intersection dimension
     exit_dim = None
     if params.min_distance is not None:
@@ -215,9 +222,8 @@ def decode_lf(R: Subspace, code: CyclicOrbitCode, f: int | None = None) -> Decod
     examined = 0
     best_dim = 0
     best: set[int] = set()
-    pack = ctx.lanes.pack
-    for v in lf_set(R.rows, f, code.q):
-        cv, pv, _ = ctx.cycle_of_code(pack(v))
+    for v in _lf_codes(R.codes, f, ctx.lanes):
+        cv, pv, _ = ctx.cycle_of_code(v)
         for cu, pu in u_places:
             examined += 1
             if cu != cv:

@@ -1,10 +1,10 @@
 """Exact arithmetic over prime fields F_q and quotient rings F_q[x]/(f).
 
-Elements of a quotient ring are fixed-length coefficient tuples (ascending
-powers of x, length = deg f), which makes them directly interchangeable with
-row vectors of F_q^n. Inner loops carry the same vectors packed into one
-int each (Lanes). All arithmetic is exact integer arithmetic mod q; no
-floating point anywhere.
+A vector of F_q^n and an element of F_q[x]/(f) with deg f = n are the same
+thing: a coefficient vector (ascending powers of x), stored packed into one
+int (Lanes). Ring elements, subspace bases and every inner loop use that
+int; coefficient tuples appear only at the public boundary. All arithmetic
+is exact integer arithmetic mod q; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -359,7 +359,8 @@ class Lanes:
     one bit, so a vector is its bitmask and adding is XOR. For odd q a lane
     holds the sum of two coordinates below a guard bit, so two vectors add
     mod q with a few whole-int operations and no per-coordinate loop.
-    Public types stay tuples; pack and unpack convert at the boundary.
+    pack and unpack convert to and from coefficient tuples at the public
+    boundary.
     """
 
     def __init__(self, q: int, n: int):
@@ -540,15 +541,16 @@ def least_primitive(field: PrimeField, degree: int) -> Poly:
 class FieldCtx:
     """Arithmetic context for F_q[x]/(f) with f monic of degree n.
 
-    Ring elements are coefficient tuples of length exactly n. When
-    f(0) != 0, x is a unit and multiplication by x permutes the nonzero
-    elements; the context indexes the cycles of that permutation on first
-    use. Cycle 0 is <x> itself, so the powers of x, their logs and the
-    order of x all come from the same index. For a primitive f that is one
-    cycle, the discrete-log table, and it is built eagerly. `dlog_table`
-    is None unless f is primitive. The index holds packed codes (see
-    Lanes); the *_code methods take and return them, the others tuples.
-    An index over more than CYCLE_INDEX_LIMIT elements is refused.
+    A ring element is the packed code of its coefficient vector (ascending
+    powers of x, see Lanes), the same int that stands for a row vector of
+    F_q^n. The *_code methods take and return codes; mul, inv, cycle_of,
+    x_power, x_log and mul_by_x take and return coefficient tuples of
+    length exactly n. When f(0) != 0, x is a unit and multiplication by x
+    permutes the nonzero elements; the context indexes the cycles of that
+    permutation on first use. Cycle 0 is <x> itself, so the powers of x,
+    their logs and the order of x all come from the same index. For a
+    primitive f that is one cycle, the discrete-log table, and it is built
+    eagerly. An index over more than CYCLE_INDEX_LIMIT elements is refused.
     """
 
     def __init__(self, modulus: Poly):
@@ -582,11 +584,12 @@ class FieldCtx:
 
     # -- representation plumbing ------------------------------------------
 
-    def elem(self, seq) -> tuple[int, ...]:
-        v = tuple(int(c) % self.q for c in seq)
+    def pack(self, v) -> int:
+        """The code of a coefficient sequence of length exactly n, entries
+        taken mod q."""
         if len(v) != self.n:
             raise DomainError(f"element needs {self.n} coefficients, got {len(v)}")
-        return v
+        return self.lanes.pack(v)
 
     def to_poly(self, v: tuple[int, ...]) -> Poly:
         return Poly.make(self.field, v)
@@ -606,30 +609,11 @@ class FieldCtx:
 
     # -- ring arithmetic ---------------------------------------------------
 
-    def add(self, a, b) -> tuple[int, ...]:
-        q = self.q
-        return tuple((x + y) % q for x, y in zip(a, b))
-
-    def sub(self, a, b) -> tuple[int, ...]:
-        q = self.q
-        return tuple((x - y) % q for x, y in zip(a, b))
-
-    def neg(self, a) -> tuple[int, ...]:
-        q = self.q
-        return tuple((-x) % q for x in a)
-
-    def smul(self, c: int, a) -> tuple[int, ...]:
-        q = self.q
-        c %= q
-        return tuple((c * x) % q for x in a)
-
     def mul_by_x(self, a) -> tuple[int, ...]:
-        q = self.q
-        carry = a[-1]
-        shifted = (0,) + a[:-1]
-        if carry == 0:
-            return shifted
-        return tuple((s + carry * r) % q for s, r in zip(shifted, self._xn_row))
+        """Multiplication by x on coefficients: the reference mul_by_x_code
+        is tested against."""
+        *low, top = self.lanes.unpack(self.pack(a))
+        return tuple((s + top * r) % self.q for s, r in zip([0] + low, self._xn_row))
 
     def mul_by_x_code(self, code: int) -> int:
         """mul_by_x on a packed element."""
@@ -640,44 +624,30 @@ class FieldCtx:
         L = self.lanes
         return L.add(code, L.scale(self._xn, carry))
 
+    def mul_code(self, a: int, b: int) -> int:
+        """a * b on packed elements, by Horner over b's lanes from the top."""
+        L = self.lanes
+        out = 0
+        for s in reversed(L.shifts):
+            out = self.mul_by_x_code(out)
+            c = (b >> s) & L.m
+            if c:
+                out = L.add(out, L.scale(a, c))
+        return out
+
     def mul(self, a, b) -> tuple[int, ...]:
-        # schoolbook product then reduction; n <= 12 keeps this cheap
-        prod = (self.to_poly(a) * self.to_poly(b)) % self.modulus
-        return self._pad(prod)
+        return self.lanes.unpack(self.mul_code(self.pack(a), self.pack(b)))
 
-    def _pad(self, p: Poly) -> tuple[int, ...]:
-        c = p.coeffs
-        return c + (0,) * (self.n - len(c))
-
-    def is_unit(self, a) -> bool:
-        if all(c == 0 for c in a):
-            return False
-        if self.is_irreducible:
-            return True
-        return poly_gcd(self.to_poly(a), self.modulus).degree == 0
+    def inv_code(self, code: int) -> int:
+        """The inverse of a packed element, by extended Euclid against f."""
+        a = self.to_poly(self.lanes.unpack(code))
+        g, s, _ = poly_ext_gcd(a, self.modulus)
+        if g.degree != 0:
+            raise NonUnitError(f"{a} is not a unit mod {self.modulus}")
+        return self.lanes.pack((s % self.modulus).coeffs)
 
     def inv(self, a) -> tuple[int, ...]:
-        g, s, _ = poly_ext_gcd(self.to_poly(a), self.modulus)
-        if g.degree != 0:
-            raise NonUnitError(
-                f"{self.to_poly(a)} is not a unit mod {self.modulus}"
-            )
-        return self._pad(s % self.modulus)
-
-    def div(self, a, b) -> tuple[int, ...]:
-        return self.mul(a, self.inv(b))
-
-    def pow_elem(self, a, e: int) -> tuple[int, ...]:
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = self.one
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
+        return self.lanes.unpack(self.inv_code(self.pack(a)))
 
     # -- cycles of multiply-by-x on the nonzero elements --------------------
 
@@ -730,8 +700,10 @@ class FieldCtx:
     def cycle_of_code(self, code: int) -> tuple[int, int, int]:
         """(cycle id, position, cycle length) of a nonzero packed element.
 
-        Position counts multiplications by x from the cycle's start
-        element; cycle 0 starts at 1, so there the position is the x-log.
+        Cycle ids follow the least integer encoding on each cycle, so cycle
+        0 is <x>. Position counts multiplications by x from the cycle's
+        start element; cycle 0 starts at 1, so there the position is the
+        x-log.
         """
         if not code:
             raise DomainError("zero lies on no cycle of multiplication by x")
@@ -742,7 +714,7 @@ class FieldCtx:
 
     def cycle_of(self, v) -> tuple[int, int, int]:
         """cycle_of_code for a coefficient tuple."""
-        return self.cycle_of_code(self.lanes.pack(v))
+        return self.cycle_of_code(self.pack(v))
 
     def mul_x_power_code(self, code: int, e: int) -> int:
         """code * x^e, read from the cycle index (e may be negative)."""
@@ -751,9 +723,6 @@ class FieldCtx:
         c, pos, length = self.cycle_of_code(code)
         return self._by_slot[self._starts[c] + (pos + e) % length]
 
-    def mul_x_power(self, v, e: int) -> tuple[int, ...]:
-        return self.lanes.unpack(self.mul_x_power_code(self.lanes.pack(v), e))
-
     @property
     def x_order(self) -> int:
         self._index()
@@ -761,37 +730,17 @@ class FieldCtx:
 
     def x_power(self, e: int) -> tuple[int, ...]:
         """x^e as a ring element (e taken mod the order of x)."""
-        return self.lanes.unpack(self._by_slot[e % self.x_order])
+        return self.lanes.unpack(self.mul_x_power_code(1, e))
 
-    def x_log(self, v) -> int | None:
-        """Exponent e with x^e = v, or None when v is outside <x>."""
-        code = self.lanes.pack(v)
+    def x_log_code(self, code: int) -> int | None:
+        """Exponent e with x^e = code, or None when code is outside <x>."""
         if not code:
             return None
         s = self._index()[code]
         return s if s < self._starts[1] else None
 
-    @property
-    def dlog_table(self) -> dict[tuple[int, ...], int] | None:
-        """Full discrete-log table, built on each call; present exactly when
-        the modulus is primitive. For single lookups use x_log."""
-        if not self.is_primitive:
-            return None
-        unpack = self.lanes.unpack
-        return {unpack(code): s for s, code in enumerate(self._by_slot)}
-
-    def element_orbit(self, v) -> tuple[int, int]:
-        """(orbit id, exponent) of a nonzero v under multiplication by x.
-
-        Orbit ids follow the least integer encoding in each orbit, so orbit
-        0 is always the orbit of 1.
-        """
-        return self.cycle_of(v)[:2]
-
-    @property
-    def orbit_count(self) -> int:
-        self._index()
-        return len(self._starts) - 1
+    def x_log(self, v) -> int | None:
+        return self.x_log_code(self.pack(v))
 
 
 @lru_cache(maxsize=None)
@@ -806,20 +755,22 @@ def field_context(modulus: Poly) -> FieldCtx:
 
 @dataclass(frozen=True)
 class RingElem:
-    """An element of a FieldCtx with operator sugar.
+    """An element of a FieldCtx, held as its packed code, with operator
+    sugar. Build it with phi; the raw constructor trusts its code.
 
     Supports +, -, *, / (division raises NonUnitError on a non-unit
     divisor), unary -, and integer powers.
     """
 
     ctx: FieldCtx
-    coeffs: tuple[int, ...]
+    code: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", self.ctx.elem(self.coeffs))
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.ctx.lanes.unpack(self.code)
 
-    def _wrap(self, v) -> "RingElem":
-        return RingElem(self.ctx, v)
+    def _wrap(self, code: int) -> "RingElem":
+        return RingElem(self.ctx, code)
 
     def _check(self, other: "RingElem") -> None:
         if self.ctx != other.ctx:
@@ -827,36 +778,45 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        return self._wrap(self.ctx.add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        return self._wrap(self.ctx.sub(self.coeffs, other.coeffs))
+        return self._wrap(self.ctx.lanes.add(self.code, other.code))
 
     def __neg__(self) -> "RingElem":
-        return self._wrap(self.ctx.neg(self.coeffs))
+        return self._wrap(self.ctx.lanes.scale(self.code, self.ctx.q - 1))
+
+    def __sub__(self, other: "RingElem") -> "RingElem":
+        return self + (-other)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        return self._wrap(self.ctx.mul(self.coeffs, other.coeffs))
+        return self._wrap(self.ctx.mul_code(self.code, other.code))
 
     def __truediv__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        return self._wrap(self.ctx.div(self.coeffs, other.coeffs))
+        return self * other.inverse()
 
     def inverse(self) -> "RingElem":
-        return self._wrap(self.ctx.inv(self.coeffs))
+        return self._wrap(self.ctx.inv_code(self.code))
 
     def __pow__(self, e: int) -> "RingElem":
-        return self._wrap(self.ctx.pow_elem(self.coeffs, e))
+        acc = (self.inverse() if e < 0 else self).code
+        mul, out, e = self.ctx.mul_code, 1, abs(e)
+        while e:
+            if e & 1:
+                out = mul(out, acc)
+            acc = mul(acc, acc)
+            e >>= 1
+        return self._wrap(out)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.code
 
     @property
     def is_unit(self) -> bool:
-        return self.ctx.is_unit(self.coeffs)
+        if not self.code:
+            return False
+        ctx = self.ctx
+        return ctx.is_irreducible or poly_gcd(ctx.to_poly(self.coeffs), ctx.modulus).degree == 0
 
     def __str__(self) -> str:
         return str(self.ctx.to_poly(self.coeffs))
@@ -864,7 +824,7 @@ class RingElem:
 
 def phi(v, ctx: FieldCtx) -> RingElem:
     """Identify a row vector of F_q^n with an element of F_q[x]/(f)."""
-    return RingElem(ctx, tuple(v))
+    return RingElem(ctx, ctx.pack(v))
 
 
 def phi_inv(u: RingElem) -> tuple[int, ...]:
@@ -878,4 +838,4 @@ def dlog(u: RingElem) -> int:
         raise DomainError("dlog needs a primitive modulus")
     if u.is_zero:
         raise DomainError("dlog of zero is undefined")
-    return u.ctx.x_log(u.coeffs)
+    return u.ctx.x_log_code(u.code)

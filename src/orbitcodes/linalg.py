@@ -167,15 +167,16 @@ def rref(M: Mat) -> tuple[Mat, int]:
 class Subspace:
     """A subspace of F_q^n in canonical form.
 
-    `rows` is the unique RREF basis (no zero rows), so equal subspaces are
-    equal objects. Construct through from_rows/from_packed/from_matrix;
-    the raw constructor trusts its input. `codes` holds the same rows
-    packed (see fields.Lanes).
+    `codes` is the unique RREF basis (no zero rows), packed one int per
+    row (see fields.Lanes), so equal subspaces are equal objects. `rows`
+    reads the same basis as coefficient tuples. Construct through
+    from_rows/from_packed/from_matrix; the raw constructor trusts its
+    input.
     """
 
     q: int
     n: int
-    rows: tuple[Row, ...]
+    codes: tuple[int, ...]
     pivots: tuple[int, ...]
 
     @classmethod
@@ -191,24 +192,21 @@ class Subspace:
     @classmethod
     def from_packed(cls, q: int, n: int, codes) -> "Subspace":
         """The row space of packed rows of F_q^n."""
-        L = lanes(q, n)
-        reduced, pivots = _rref_rows(codes, L)
-        sub = cls(q, n, tuple([L.unpack(c) for c in reduced]), pivots)
-        object.__setattr__(sub, "codes", tuple(reduced))
-        return sub
+        reduced, pivots = _rref_rows(codes, lanes(q, n))
+        return cls(q, n, tuple(reduced), pivots)
 
     @classmethod
     def from_matrix(cls, M: Mat) -> "Subspace":
         return cls.from_rows(M.q, M.ncols, M.rows)
 
     @cached_property
-    def codes(self) -> tuple[int, ...]:
-        pack = lanes(self.q, self.n).pack
-        return tuple([pack(r) for r in self.rows])
+    def rows(self) -> tuple[Row, ...]:
+        unpack = lanes(self.q, self.n).unpack
+        return tuple([unpack(c) for c in self.codes])
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.codes)
 
     @property
     def matrix(self) -> Mat:
@@ -256,9 +254,7 @@ class Subspace:
     def elements(self):
         """Every vector of the subspace (q^dim of them), zero included, in
         itertools.product order of the coefficients on the basis rows."""
-        unpack = lanes(self.q, self.n).unpack
-        for code in self.element_codes():
-            yield unpack(code)
+        return map(lanes(self.q, self.n).unpack, self.element_codes())
 
     def element_codes(self) -> list[int]:
         """elements(), packed."""
@@ -267,9 +263,7 @@ class Subspace:
     def nonzero_elements(self):
         # the basis is independent, so only the all-zero combination,
         # which comes first, is the zero vector
-        it = self.elements()
-        next(it)
-        yield from it
+        return map(lanes(self.q, self.n).unpack, self.element_codes()[1:])
 
     def transform(self, M: Mat) -> "Subspace":
         """The image subspace { uM : u in U }, canonicalized."""
@@ -300,7 +294,7 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     if U.n != V.n or U.q != V.q:
         raise DomainError("subspaces live in different ambient spaces")
-    return Subspace.from_rows(U.q, U.n, U.rows + V.rows)
+    return Subspace.from_packed(U.q, U.n, U.codes + V.codes)
 
 
 def dual(U: Subspace) -> Subspace:
@@ -358,8 +352,8 @@ def psi_inv(u: RingElem) -> Mat:
     """Inverse of psi: row j of the result is x^j * u mod f."""
     ctx = u.ctx
     rows = []
-    ej = ctx.one
+    code = u.code
     for _ in range(ctx.n):
-        rows.append(ctx.mul(ej, u.coeffs))
-        ej = ctx.mul_by_x(ej)
+        rows.append(ctx.lanes.unpack(code))
+        code = ctx.mul_by_x_code(code)
     return Mat(ctx.q, tuple(rows))

@@ -1,5 +1,6 @@
 """Polynomials, quotient-ring contexts and discrete logs over prime fields."""
 
+import itertools
 import random
 
 import pytest
@@ -241,20 +242,23 @@ def test_x_order_and_log():
     for e in (0, 1, 9, 18, 62):
         assert ctx.x_log(ctx.x_power(e)) == e
     assert ctx.x_log(tuple([0] * 6)) is None
-    assert ctx.dlog_table[ctx.x_power(9)] == 9
+    # a primitive modulus: every nonzero element has its log
+    assert [ctx.x_log(ctx.x_power(e)) for e in range(63)] == list(range(63))
+    assert ctx.x_log_code(ctx.pack(ctx.x_power(9))) == 9
     ctx5 = field_context(X4_NONPRIM)
-    assert ctx5.x_order == 5
-    assert ctx5.dlog_table is None
+    assert ctx5.x_order == 5 and not ctx5.is_primitive
     # elements outside <x> have no x-log
     assert ctx5.x_log((0, 0, 1, 1)) is None
+    logs = [ctx5.x_log(v) for v in itertools.product(range(2), repeat=4) if any(v)]
+    assert sorted(e for e in logs if e is not None) == list(range(5))
 
 
 def test_orbit_index_partitions_nonzero_elements():
     ctx = field_context(X4_NONPRIM)
-    assert ctx.orbit_count == 3
+    assert len({ctx.cycle_of(v)[0] for v in itertools.product(range(2), repeat=4) if any(v)}) == 3
     seen = {}
     for v in ((1, 0, 0, 0), (0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 0, 0)):
-        oid, exp = ctx.element_orbit(v)
+        oid, exp, _ = ctx.cycle_of(v)
         assert ctx.mul(ctx.x_power(exp), _orbit_base(ctx, oid)) == v
         seen.setdefault(oid, set()).add(exp)
     # exponents live mod the x-order
@@ -271,12 +275,16 @@ def test_cycle_index_partitions_nonzero_elements(coeffs):
         cid, pos, length = ctx.cycle_of(v)
         seen.add((cid, pos))
         assert 0 <= pos < length and ctx.x_order % length == 0
-        assert ctx.mul_x_power(v, 1) == ctx.mul_by_x(v)
-        assert ctx.mul_x_power(v, length) == v
-        assert ctx.mul_x_power(v, -3) == ctx.mul(v, ctx.x_power(-3))
+        assert _mul_x_power(ctx, v, 1) == ctx.mul_by_x(v)
+        assert _mul_x_power(ctx, v, length) == v
+        assert _mul_x_power(ctx, v, -3) == ctx.mul(v, ctx.x_power(-3))
     assert len(seen) == 2**ctx.n - 1
     assert ctx.cycle_of(ctx.one) == (0, 0, ctx.x_order)
-    assert ctx.mul_x_power(ctx.zero, 5) == ctx.zero
+    assert _mul_x_power(ctx, ctx.zero, 5) == ctx.zero
+
+
+def _mul_x_power(ctx, v, e):
+    return ctx.lanes.unpack(ctx.mul_x_power_code(ctx.pack(v), e))
 
 
 def test_cycle_index_beyond_byte_coefficients():
@@ -285,7 +293,8 @@ def test_cycle_index_beyond_byte_coefficients():
     assert ctx.x_order == 256
     assert ctx.x_power(5) == (3**5 % 257,)
     assert ctx.x_log((3**5 % 257,)) == 5
-    assert ctx.dlog_table[(1,)] == 0
+    assert ctx.x_log((1,)) == 0
+    assert [ctx.x_log(ctx.x_power(e)) for e in range(256)] == list(range(256))
 
 
 def test_cycle_index_size_limit(monkeypatch):
@@ -311,10 +320,30 @@ def _orbit_base(ctx, oid):
             v.append(rem % ctx.q)
             rem //= ctx.q
         v = tuple(v)
-        o, e = ctx.element_orbit(v)
+        o, e, _ = ctx.cycle_of(v)
         if o == oid and e == 0:
             return v
     raise AssertionError("orbit base not found")
+
+
+# every tuple entry point checks the length before packing
+WRONG_LENGTH_CALLS = {
+    "cycle_of": lambda ctx, v: ctx.cycle_of(v),
+    "x_log": lambda ctx, v: ctx.x_log(v),
+    "mul_left": lambda ctx, v: ctx.mul(v, ctx.one),
+    "mul_right": lambda ctx, v: ctx.mul(ctx.one, v),
+    "inv": lambda ctx, v: ctx.inv(v),
+    "mul_by_x": lambda ctx, v: ctx.mul_by_x(v),
+    "phi": lambda ctx, v: phi(v, ctx),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_LENGTH_CALLS))
+@pytest.mark.parametrize("v", [(0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0), ()])
+def test_tuple_entry_points_reject_wrong_length(name, v):
+    ctx = field_context(X6_X_1)
+    with pytest.raises(DomainError, match=rf"needs 6 coefficients, got {len(v)}"):
+        WRONG_LENGTH_CALLS[name](ctx, v)
 
 
 def test_phi_bijection_and_dlog():

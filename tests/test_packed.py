@@ -1,18 +1,20 @@
 """Property tests: the packed-integer kernels against tuple references.
 
-Vectors of F_q^n travel as packed ints inside RREF, span enumeration, the
-cycle index and the orbit walk. Each property rebuilds the public result
-with plain tuple arithmetic written here and demands exact equality, for
-q = 2 (one bit per coordinate), odd q (guarded lanes) and q = 257 (lanes
-wider than a byte).
+Vectors of F_q^n and ring elements are stored as packed ints and travel
+that way through RREF, span enumeration, the cycle index, the orbit walk,
+ring arithmetic and the L_f set. Each property rebuilds the public result
+with plain tuple or Poly arithmetic and demands exact equality, for q = 2
+(one bit per coordinate), odd q (guarded lanes) and q = 257 (lanes wider
+than a byte).
 """
 
 import random
 import tracemalloc
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitcodes import (
@@ -25,8 +27,13 @@ from orbitcodes import (
     enumerate_orbit,
     field_context,
     make_code,
+    phi,
+    phi_inv,
     subspace_distance,
 )
+from orbitcodes.decoder import lf_set, lf_vector_count
+from orbitcodes.errors import NonUnitError
+from orbitcodes.fields import is_irreducible, lanes, poly_gcd, pow_mod
 from orbitcodes.linalg import intersection_dim
 
 from conftest import poly_of
@@ -231,8 +238,9 @@ def test_cycle_of_matches_tuple_walk(case):
     ctx, place, firsts = ref_cycles(q, coeffs)
     assert ctx.cycle_of(v) == place[v]
     cid, pos, length = place[v]
-    assert ctx.mul_x_power(v, length - pos) == firsts[cid]
-    assert ctx.mul_x_power(v, 1) == ctx.mul_by_x(v)
+    code = ctx.pack(v)
+    assert ctx.lanes.unpack(ctx.mul_x_power_code(code, length - pos)) == firsts[cid]
+    assert ctx.lanes.unpack(ctx.mul_x_power_code(code, 1)) == ctx.mul_by_x(v)
 
 
 @SETTINGS
@@ -273,3 +281,117 @@ def test_large_prime_allocates_nothing_of_size_q():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# -- packed ring arithmetic and the stored subspace encoding ----------------
+
+
+def _ring_moduli():
+    """Per q, an irreducible p, p^2 and (x + 1)^3."""
+    out = []
+    for q, p in [(2, (1, 1, 0, 1)), (3, (1, 0, 1)), (5, (2, 0, 1)), (257, (254, 0, 1))]:
+        p = poly_of(q, p)
+        assert is_irreducible(p)
+        x1 = poly_of(q, (1, 1))
+        out += [p, p * p, x1 * x1 * x1]
+    return out
+
+
+RING_MODULI = _ring_moduli()
+
+
+@st.composite
+def ring_pairs(draw):
+    """(context, a, b): two coefficient lists, entries not yet reduced mod q."""
+    ctx = field_context(draw(st.sampled_from(RING_MODULI)))
+    q, n = ctx.q, ctx.n
+    a, b = (draw(st.lists(st.integers(-q, 2 * q), min_size=n, max_size=n)) for _ in range(2))
+    return ctx, a, b
+
+
+@SETTINGS
+@given(ring_pairs())
+def test_mul_code_matches_poly_product(case):
+    ctx, a, b = case
+    got = ctx.mul_code(ctx.pack(a), ctx.pack(b))
+    assert ctx.to_poly(ctx.lanes.unpack(got)) == (ctx.to_poly(a) * ctx.to_poly(b)) % ctx.modulus
+    assert ctx.mul(a, b) == ctx.lanes.unpack(got)
+
+
+@SETTINGS
+@given(ring_pairs(), st.integers(0, 40))
+def test_ring_elem_matches_poly_arithmetic(case, e):
+    ctx, a, b = case
+    f = ctx.modulus
+    pa, pb = ctx.to_poly(a) % f, ctx.to_poly(b) % f
+    A, B = phi(a, ctx), phi(b, ctx)
+
+    def poly(u):
+        return ctx.to_poly(u.coeffs)
+
+    assert phi_inv(A) == tuple(x % ctx.q for x in a) and A == phi(phi_inv(A), ctx)
+    assert poly(A + B) == (pa + pb) % f
+    assert poly(A - B) == (pa - pb) % f
+    assert poly(-A) == (-pa) % f
+    assert poly(A * B) == (pa * pb) % f
+    assert poly(A**e) == pow_mod(pa, e, f)
+    assert A.is_zero == pa.is_zero
+    unit = not pb.is_zero and poly_gcd(pb, f).degree == 0
+    assert B.is_unit == unit
+    if unit:
+        assert (poly(A / B) * pb) % f == pa
+        assert (poly(B**-e) * pow_mod(pb, e, f)) % f == Poly.make(f.field, [1])
+    else:
+        with pytest.raises(NonUnitError):
+            A / B
+
+
+@SETTINGS
+@given(row_sets(), st.randoms(use_true_random=False))
+def test_subspace_codes_and_rows_round_trip(case, rnd):
+    q, n, rows = case
+    L = lanes(q, n)
+    S = Subspace.from_rows(q, n, rows)
+    assert S.codes == tuple(L.pack(r) for r in S.rows)
+    assert S.rows == tuple(L.unpack(c) for c in S.codes)
+    assert Subspace(q, n, S.codes, S.pivots) == S
+    assert Subspace.from_rows(q, n, S.rows) == S == Subspace.from_packed(q, n, S.codes)
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    T = Subspace.from_rows(q, n, shuffled)
+    assert T == S and hash(T) == hash(S) and T.rows == S.rows
+
+
+def ref_lf_set(rows, f, q):
+    """The L_f vectors as the tuple loop that first defined their order."""
+    kp, n = len(rows), len(rows[0])
+    out = []
+    for s in range(1, f + 2):
+        for idxs in combinations(range(kp), s):
+            for coeffs in product(range(1, q), repeat=s):
+                v = [0] * n
+                for c, i in zip(coeffs, idxs):
+                    for j, x in enumerate(rows[i]):
+                        v[j] = (v[j] + c * x) % q
+                out.append(tuple(v))
+    return out
+
+
+@st.composite
+def lf_cases(draw):
+    """(q, rows, f): independent rows, entries not yet reduced mod q, and an
+    f whose L_f set stays below 5000 vectors."""
+    q, n, rows = draw(row_sets(max_n=5))
+    kp = Subspace.from_rows(q, n, rows).dim
+    assume(kp == len(rows) and kp >= 1)
+    max_f = 0
+    while max_f + 1 < kp and lf_vector_count(q, kp, max_f + 1) < 5000:
+        max_f += 1
+    return q, rows, draw(st.integers(0, max_f))
+
+
+@SETTINGS
+@given(lf_cases())
+def test_lf_set_order_is_pinned(case):
+    q, rows, f = case
+    assert lf_set(rows, f, q) == ref_lf_set(rows, f, q)
