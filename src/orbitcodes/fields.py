@@ -27,31 +27,87 @@ NEG_INF = float("-inf")
 CYCLE_INDEX_LIMIT = 2**22
 
 
+# Miller-Rabin with these bases is exact below 3.3 * 10^24 (Sorenson and
+# Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(m: int) -> bool:
+    """Division by _MR_BASES, then Miller-Rabin over them."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
+def _rho(m: int) -> int:
+    """A proper factor of an odd composite m with no factor below 1024:
+    Pollard's rho in Brent's form (Brent 1980), gcds batched over 128 steps.
+    Deterministic: the polynomials y^2 + c are tried for c = 1, 2, ..."""
+    for c in itertools.count(1):
+        y, r, g, acc = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    acc = acc * abs(x - y) % m
+                g = math.gcd(acc, m)
+                k += 128
+            r *= 2
+        if g == m:
+            # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
+
+
 def factorize(m: int) -> dict[int, int]:
-    """Prime factorization by trial division. Fine for the sizes here (< 10^7)."""
+    """Prime factorization, primes ascending. Trial division below 1024,
+    then Miller-Rabin and Pollard-Brent rho on what is left (Pollard 1975;
+    Brent 1980), so a large prime factor costs a primality test, not a
+    scan up to its square root."""
     if m < 1:
         raise DomainError(f"cannot factorize {m}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= m:
+    while d < 1024 and d * d <= m:
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
         d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    rest = [m] if m > 1 else []
+    while rest:
+        r = rest.pop()
+        if _is_prime(r):
+            out[r] = out.get(r, 0) + 1
+        else:
+            g = _rho(r)
+            rest += [g, r // g]
+    return dict(sorted(out.items()))
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -278,19 +334,45 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
+def _gcd_code(a: int, b: int, L: Lanes) -> int:
+    """A gcd (not made monic) of two packed polynomials of at most as many
+    coefficients as L has lanes, by Euclid on codes."""
+    q, w, m = L.q, L.w, L.m
+    while b:
+        db = (b.bit_length() - 1) // w
+        lead_inv = pow((b >> db * w) & m, q - 2, q)
+        while a:
+            da = (a.bit_length() - 1) // w
+            if da < db:
+                break
+            c = (a >> da * w) & m
+            a = L.add(a, L.scale(b << (da - db) * w, q - c * lead_inv % q))
+        a, b = b, a
+    return a
+
+
 @lru_cache(maxsize=128)
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over F_q via gcd with x^(q^d) - x for d up to deg/2."""
+    """Irreducibility over F_q: gcd(x^(q^d) - x, f) = 1 for d up to deg/2.
+
+    Runs on packed codes: each x^(q^d) is the q-th power of the one
+    before, and the gcd is Euclid on codes.
+    """
     if f.degree is NEG_INF or f.degree == 0:
         return False
     f = f.monic()
     if f.degree == 1:
         return True
-    q = f.field.q
-    x = Poly.make(f.field, [0, 1])
-    for d in range(1, f.degree // 2 + 1):
-        frob = pow_mod(x, q**d, f)
-        if not poly_gcd(frob - x, f).degree == 0:
+    ring = PackedRing(f)
+    n, q = ring.n, ring.q
+    big = lanes(q, n + 1)
+    fcode = big.pack(f.coeffs)
+    x = ring.mul_by_x_code(1)
+    neg_x = big.scale(x, q - 1)
+    frob = x
+    for _ in range(n // 2):
+        frob = ring.pow_code(frob, q)
+        if _gcd_code(fcode, big.add(frob, neg_x), big) >> big.w:
             return False
     return True
 
@@ -299,10 +381,11 @@ def is_irreducible(f: Poly) -> bool:
 def _irreducible_order(p: Poly) -> int:
     """Order of x mod a monic irreducible p with p(0) != 0: strip each prime
     from q^deg - 1 while x to the remaining power is still 1."""
-    m = p.field.q**p.degree - 1
-    x, one = Poly.make(p.field, [0, 1]), Poly.make(p.field, [1])
+    ring = PackedRing(p)
+    m = ring.q**ring.n - 1
+    x = ring.mul_by_x_code(1)  # x reduced mod p, also for deg p = 1
     for r in factorize(m):
-        while m % r == 0 and pow_mod(x, m // r, p) == one:
+        while m % r == 0 and ring.pow_code(x, m // r) == 1:
             m //= r
     return m
 
@@ -538,7 +621,57 @@ def least_primitive(field: PrimeField, degree: int) -> Poly:
     return find_irreducible_with_order(field, degree, field.q**degree - 1)
 
 
-class FieldCtx:
+class PackedRing:
+    """F_q[x]/(f) on packed codes with no cycle index: multiply by x,
+    multiply and power. f is monic of degree n >= 1. The irreducibility and
+    order scans use it bare; FieldCtx extends it."""
+
+    def __init__(self, modulus: Poly):
+        self.modulus = modulus
+        self.field = modulus.field
+        self.q = modulus.field.q
+        self.n = modulus.degree
+        # x^n mod f, the single reduction row needed for multiply-by-x
+        self._xn_row = tuple((-modulus.coeff(i)) % self.q for i in range(self.n))
+        self.lanes = lanes(self.q, self.n)
+        # multiply-by-x on codes: shift every lane up one and fold the lane
+        # that falls off the top back in as c * x^n
+        self._top = self.lanes.shifts[-1]
+        self._mask = (1 << (self._top + self.lanes.w)) - 1
+        self._xn = self.lanes.pack(self._xn_row)
+
+    def mul_by_x_code(self, code: int) -> int:
+        """Multiplication by x on a packed element."""
+        carry = code >> self._top
+        code = (code << self.lanes.w) & self._mask
+        if not carry:
+            return code
+        L = self.lanes
+        return L.add(code, L.scale(self._xn, carry))
+
+    def mul_code(self, a: int, b: int) -> int:
+        """a * b on packed elements, by Horner over b's lanes from the top."""
+        L = self.lanes
+        out = 0
+        for s in reversed(L.shifts):
+            out = self.mul_by_x_code(out)
+            c = (b >> s) & L.m
+            if c:
+                out = L.add(out, L.scale(a, c))
+        return out
+
+    def pow_code(self, code: int, e: int) -> int:
+        """code^e on packed elements by square and multiply; e >= 0."""
+        mul, out = self.mul_code, 1
+        while e:
+            if e & 1:
+                out = mul(out, code)
+            code = mul(code, code)
+            e >>= 1
+        return out
+
+
+class FieldCtx(PackedRing):
     """Arithmetic context for F_q[x]/(f) with f monic of degree n.
 
     A ring element is the packed code of its coefficient vector (ascending
@@ -557,23 +690,12 @@ class FieldCtx:
         if modulus.degree is NEG_INF or modulus.degree < 1:
             raise DomainError("modulus must have degree >= 1")
         modulus = modulus.monic()
-        self.modulus = modulus
-        self.field = modulus.field
-        self.q = modulus.field.q
-        self.n = modulus.degree
+        super().__init__(modulus)
         self.is_irreducible = is_irreducible(modulus)
         self.is_primitive = is_primitive(modulus)
-        # x^n mod f, the single reduction row needed for multiply-by-x
-        self._xn_row = tuple((-modulus.coeff(i)) % self.q for i in range(self.n))
         self.zero = (0,) * self.n
         self.one = tuple(1 if i == 0 else 0 for i in range(self.n))
         self.x = tuple(1 if i == 1 else 0 for i in range(self.n)) if self.n > 1 else self._xn_row
-        self.lanes = lanes(self.q, self.n)
-        # multiply-by-x on codes: shift every lane up one and fold the lane
-        # that falls off the top back in as c * x^n
-        self._top = self.lanes.shifts[-1]
-        self._mask = (1 << (self._top + self.lanes.w)) - 1
-        self._xn = self.lanes.pack(self._xn_row)
         # cycle index: slot of each nonzero code, the codes by slot, and the
         # first slot of each cycle (plus a closing sentinel)
         self._slot = None
@@ -614,26 +736,6 @@ class FieldCtx:
         is tested against."""
         *low, top = self.lanes.unpack(self.pack(a))
         return tuple((s + top * r) % self.q for s, r in zip([0] + low, self._xn_row))
-
-    def mul_by_x_code(self, code: int) -> int:
-        """mul_by_x on a packed element."""
-        carry = code >> self._top
-        code = (code << self.lanes.w) & self._mask
-        if not carry:
-            return code
-        L = self.lanes
-        return L.add(code, L.scale(self._xn, carry))
-
-    def mul_code(self, a: int, b: int) -> int:
-        """a * b on packed elements, by Horner over b's lanes from the top."""
-        L = self.lanes
-        out = 0
-        for s in reversed(L.shifts):
-            out = self.mul_by_x_code(out)
-            c = (b >> s) & L.m
-            if c:
-                out = L.add(out, L.scale(a, c))
-        return out
 
     def mul(self, a, b) -> tuple[int, ...]:
         return self.lanes.unpack(self.mul_code(self.pack(a), self.pack(b)))
@@ -715,6 +817,12 @@ class FieldCtx:
     def cycle_of(self, v) -> tuple[int, int, int]:
         """cycle_of_code for a coefficient tuple."""
         return self.cycle_of_code(self.pack(v))
+
+    def cycles(self) -> list[array]:
+        """The codes of every cycle, by cycle id, each from its start element."""
+        self._index()
+        starts = self._starts
+        return [self._by_slot[a:b] for a, b in zip(starts, starts[1:])]
 
     def mul_x_power_code(self, code: int, e: int) -> int:
         """code * x^e, read from the cycle index (e may be negative)."""
@@ -798,14 +906,8 @@ class RingElem:
         return self._wrap(self.ctx.inv_code(self.code))
 
     def __pow__(self, e: int) -> "RingElem":
-        acc = (self.inverse() if e < 0 else self).code
-        mul, out, e = self.ctx.mul_code, 1, abs(e)
-        while e:
-            if e & 1:
-                out = mul(out, acc)
-            acc = mul(acc, acc)
-            e >>= 1
-        return self._wrap(out)
+        base = self.inverse() if e < 0 else self
+        return self._wrap(self.ctx.pow_code(base.code, abs(e)))
 
     @property
     def is_zero(self) -> bool:

@@ -10,6 +10,7 @@ elements lie in pairwise distinct <x>-orbits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .analysis import ORBIT_CAP, CyclicOrbitCode, enumerate_orbit, make_code
@@ -99,48 +100,55 @@ def distinct_orbit_start(ctx: FieldCtx, k: int) -> Subspace | None:
     Candidate vectors are tried in ascending integer encoding with
     backtracking, so the result is unique and reproducible. Returns None
     when no such subspace exists.
+
+    Extending a span S, whose nonzero elements use the orbits O, by v adds
+    the elements c*v + e (c in F_q^*, e in S); v fits when they lie on
+    pairwise distinct orbits outside O. Going deeper only enlarges S and
+    O, so a vector that does not fit at one level fits at no deeper level.
+    Each level therefore checks only the vectors that fitted at the level
+    above, after the one chosen there, and the survivors keep their
+    ascending order: the search takes the same branches, in the same
+    order, as a scan over every vector, and returns the same start. Orbit
+    ids come from one table built from the cycle index per call.
     """
     if not ctx.is_irreducible:
         raise DomainError("distinct-orbit start search needs an irreducible modulus")
     q, n = ctx.q, ctx.n
     lanes_ = ctx.lanes
-    add, cycle_of = lanes_.add, ctx.cycle_of_code
-    # packed vectors in ascending integer encoding
-    codes = list(lanes_.ascending())
+    add, scale = lanes_.add, lanes_.scale
+    scalars = range(1, q)
+    orbit_of = {v: c for c, members in enumerate(ctx.cycles()) for v in members}
 
-    def extend(rows: list, span: list, orbits: set, next_index: int):
+    def grow(v: int, span: list, orbits: set):
+        """The elements c*v + e (c in F_q^*, e in span) and their orbits,
+        or None when two share an orbit or one lies on an orbit in use.
+        span[0] is 0, so a v inside the span fails at c = 1, e = 0, before
+        any c*v + e could be 0."""
+        new_elems, new_orbits = [], set()
+        for c in scalars:
+            cv = scale(v, c)
+            for e in span:
+                w = add(e, cv)
+                oid = orbit_of[w]
+                if oid in orbits or oid in new_orbits:
+                    return None
+                new_orbits.add(oid)
+                new_elems.append(w)
+        return new_elems, new_orbits
+
+    def extend(rows: list, span: list, orbits: set, candidates: list):
         if len(rows) == k:
             return Subspace.from_packed(q, n, rows)
-        for i in range(next_index, len(codes)):
-            v = codes[i]
-            if v in span_set:
-                continue
-            new_elems = []
-            new_orbits = set()
-            ok = True
-            for c in range(1, q):
-                cv = lanes_.scale(v, c)
-                for e in span:
-                    w = add(e, cv)
-                    oid = cycle_of(w)[0]
-                    if oid in orbits or oid in new_orbits:
-                        ok = False
-                        break
-                    new_orbits.add(oid)
-                    new_elems.append(w)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            span_set.update(new_elems)
-            found = extend(rows + [v], span + new_elems, orbits | new_orbits, i + 1)
+        fits = [v for v in candidates if grow(v, span, orbits)]
+        for i, v in enumerate(fits):
+            new_elems, new_orbits = grow(v, span, orbits)
+            found = extend(rows + [v], span + new_elems, orbits | new_orbits, fits[i + 1 :])
             if found is not None:
                 return found
-            span_set.difference_update(new_elems)
         return None
 
-    span_set: set = {0}
-    return extend([], [0], set(), 1)
+    # packed vectors in ascending integer encoding, zero left out
+    return extend([], [0], set(), list(itertools.islice(lanes_.ascending(), 1, None)))
 
 
 def build_nonprimitive_spread(q: int, k: int, n: int) -> CyclicOrbitCode:

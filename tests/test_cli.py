@@ -1,9 +1,14 @@
 """End-to-end CLI checks through main(argv): exit codes and JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbitcodes
 from orbitcodes import (
     SpreadSpec,
     build_spread,
@@ -172,6 +177,34 @@ def test_spread_nonprimitive(capsys):
     data = run_json(capsys, ["spread", "--q", "2", "--n", "4", "--k", "2", "--nonprimitive"])
     code, _ = code_from_json_dict(data)
     assert code.block_structure.blocks[0][0].coeffs == (1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv,degree",
+    [
+        (["search", "--q", "2", "--n", "61", "--k", "1", "--seed", "1", "--trials", "1"], 61),
+        (["spread", "--q", "2", "--n", "62", "--k", "2"], 62),
+    ],
+)
+def test_oversized_field_refused_at_the_index_limit(capsys, argv, degree):
+    # the primitive polynomial and its order come quickly; the cycle index
+    # of 2^degree - 1 elements is refused
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert f"(q=2, degree {degree})" in err and "limit of 4194304" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["spread", "--q", "2", "--n", "4", "--k", "2", "--nonprimitive"]
+    src = str(Path(orbitcodes.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitcodes", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == run_json(capsys, argv)
 
 
 def test_spread_invalid_k(capsys):

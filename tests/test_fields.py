@@ -1,6 +1,7 @@
 """Polynomials, quotient-ring contexts and discrete logs over prime fields."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -49,6 +50,32 @@ def test_factorize_small():
     assert factorize(1) == {}
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(1023) == {3: 1, 11: 1, 31: 1}
+
+
+def _fermat_prime(p):
+    # an independent check for the factors below 10^12: no base below 50
+    # is a Fermat witness, and no small prime divides p unless p is it
+    return all(p == d or p % d for d in range(2, 50)) and all(
+        pow(a, p - 1, p) == 1 for a in range(2, 50) if a % p
+    )
+
+
+def test_factorize_large_primes():
+    # trial division needs ~10^9 steps for these; rho and Miller-Rabin don't
+    assert factorize(2**61 - 1) == {2**61 - 1: 1}
+    assert factorize(2**62 - 1) == {3: 1, 715827883: 1, 2147483647: 1}
+    assert factorize(2**67 - 1) == {193707721: 1, 761838257287: 1}
+    assert factorize(1000003**2) == {1000003: 2}
+
+
+def test_factorize_round_trips():
+    rng = random.Random(SEED)
+    for _ in range(300):
+        m = rng.randrange(1, 10**12)
+        f = factorize(m)
+        assert list(f) == sorted(f)
+        assert math.prod(p**e for p, e in f.items()) == m
+        assert all(_fermat_prime(p) for p in f)
 
 
 @pytest.mark.parametrize("a,m,expect", [(2, 7, 3), (2, 21, 6), (3, 10, 4), (2, 341, 10)])
@@ -163,6 +190,95 @@ def test_poly_order_of_large_reducible_modulus():
     assert pow_mod(x, o, f) == one
     for r in (31, 2**31 - 1):
         assert pow_mod(x, o // r, f) != one
+
+
+def _trial_irreducible(f):
+    """Reference: no monic polynomial of degree 1..deg/2 divides f."""
+    return all(
+        not (f % g).is_zero
+        for d in range(1, f.degree // 2 + 1)
+        for g in monic_polys(f.field, d)
+    )
+
+
+def _stepped_order(f):
+    """Reference: the least e >= 1 with x^e = 1 mod f, stepping e."""
+    x, one = Poly.make(f.field, [0, 1]), Poly.make(f.field, [1])
+    acc, e = x % f, 1
+    while acc != one:
+        acc, e = (acc * x) % f, e + 1
+    return e
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 8), (3, 5), (5, 3)])
+def test_irreducibility_and_order_brute_force(q, max_degree):
+    # every monic polynomial: the packed Frobenius/gcd test against trial
+    # division, and the order from one factorization against stepping
+    for degree in range(1, max_degree + 1):
+        for f in monic_polys(PrimeField(q), degree):
+            assert is_irreducible(f) == _trial_irreducible(f), f
+            if f.coeff(0):
+                assert poly_order(f) == _stepped_order(f), f
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_degree_one_orders(q):
+    # x is the constant a mod x - a, so its order is a's order mod q
+    for a in range(1, q):
+        assert poly_order(poly_of(q, [-a, 1])) == multiplicative_order(a, q)
+
+
+# least primitive polynomials, ascending coefficients
+LEAST_PRIMITIVE = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 15): (1, 1) + (0,) * 13 + (1,),
+    (2, 16): (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,),
+    (3, 2): (2, 1, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (1, 2, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 0, 1, 0, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("q,degree", sorted(LEAST_PRIMITIVE))
+def test_least_primitive_pinned(q, degree):
+    assert least_primitive(PrimeField(q), degree).coeffs == LEAST_PRIMITIVE[q, degree]
+
+
+@pytest.mark.parametrize(
+    "degree,order,coeffs",
+    [
+        (12, 273, (1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1)),
+        (10, 33, (1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1)),
+        (16, 4369, (1, 0, 1, 0, 1, 0, 1, 1, 1) + (0,) * 7 + (1,)),
+    ],
+)
+def test_irreducible_with_order_pinned(degree, order, coeffs):
+    assert find_irreducible_with_order(P2, degree, order).coeffs == coeffs
+
+
+def test_large_modulus_refused_at_the_index_limit():
+    # x^61+x^5+x^2+x+1 is primitive (2^61 - 1 is prime): the order is found
+    # at once, and the context refuses the 2^61 - 1 element cycle index
+    f = poly_of(2, [1, 1, 1, 0, 0, 1] + [0] * 55 + [1])
+    assert poly_order(f) == 2**61 - 1
+    with pytest.raises(DomainError, match=r"q=2, degree 61.*limit of 4194304"):
+        field_context(f)
 
 
 @pytest.mark.parametrize("q,degree", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])

@@ -6,6 +6,7 @@ from orbitcodes import (
     DomainError,
     NoSuchPolynomialError,
     Poly,
+    PrimeField,
     SpreadSpec,
     Subspace,
     analyze,
@@ -13,12 +14,14 @@ from orbitcodes import (
     build_spread,
     distinct_orbit_start,
     field_context,
+    find_irreducible_with_order,
     macwilliams_check,
     make_code,
     matrix_order,
     spread_start_rows,
     verify_spread,
 )
+from orbitcodes.fields import irreducible_polys
 
 from conftest import P2, P3, X4_NONPRIM, X4_X_1, X6_X_1, single_block
 
@@ -171,3 +174,72 @@ def test_distinct_orbit_start_needs_irreducible():
     reducible = Poly.make(P2, (1, 0, 0, 0, 1))  # (x+1)^4
     with pytest.raises(DomainError):
         distinct_orbit_start(field_context(reducible), 1)
+
+
+# -- distinct-orbit starts against a plain scan ------------------------------
+
+# start codes of the non-primitive (q, k, n) spread. Out of tier-1 for time:
+# (2, 4, 16) -> (1, 26522, 26524, 26400) and (3, 3, 9) -> (1, 4580245776,
+# 9129037824), ~1 s and ~20 s.
+PINNED_STARTS = {
+    (2, 2, 4): (1, 12),
+    (2, 2, 8): (1, 22),
+    (2, 4, 8): (1, 74, 100, 176),
+    (2, 4, 12): (1, 1954, 1892, 1960),
+    (2, 3, 9): (1, 18, 88),
+    (2, 3, 12): (1, 274, 276),
+    (2, 5, 10): (1, 866, 868, 392, 176),
+    (3, 2, 6): (1, 8208),
+}
+
+
+@pytest.mark.parametrize("q,k,n", sorted(PINNED_STARTS))
+def test_distinct_orbit_start_pinned(q, k, n):
+    p = find_irreducible_with_order(PrimeField(q), n, (q**n - 1) // (q**k - 1))
+    assert distinct_orbit_start(field_context(p), k).codes == PINNED_STARTS[q, k, n]
+
+
+def _plain_start(ctx, k):
+    """Reference: backtrack over every packed vector in ascending order,
+    reading each element's orbit from cycle_of_code."""
+    q, n, L = ctx.q, ctx.n, ctx.lanes
+    codes = list(L.ascending())
+
+    def extend(rows, span, orbits, start):
+        if len(rows) == k:
+            return Subspace.from_packed(q, n, rows)
+        for i in range(start, len(codes)):
+            new = {}
+            for c in range(1, q):
+                for e in span:
+                    w = L.add(e, L.scale(codes[i], c))
+                    oid = ctx.cycle_of_code(w)[0] if w else None
+                    if oid is None or oid in orbits or oid in new:
+                        break
+                    new[oid] = w
+                else:
+                    continue
+                break
+            else:
+                found = extend(rows + [codes[i]], span + list(new.values()), orbits | set(new), i + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], [0], set(), 1)
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 6), (3, 4), (5, 2), (7, 2)])
+def test_distinct_orbit_start_matches_plain_scan(q, max_degree):
+    # every irreducible modulus with p(0) != 0 and every k, the None cases
+    # (some c != 1 of F_q^* in <x>, or too few orbits) included
+    results = []
+    for n in range(1, max_degree + 1):
+        for p in irreducible_polys(PrimeField(q), n):
+            if p.coeff(0):
+                ctx = field_context(p)
+                for k in range(1, n + 1):
+                    got = distinct_orbit_start(ctx, k)
+                    assert got == _plain_start(ctx, k), (p, k)
+                    results.append(got)
+    assert None in results and any(results)
