@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .canonical import ElementaryDivisorSpec, matrix_order, poly_pow
+from .canonical import ElementaryDivisorSpec, build_generator, matrix_order, poly_pow
 from .errors import (
     DomainError,
     InternalInvariantError,
@@ -37,15 +37,13 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import FieldCtx, Poly, PrimeField, check_entries, field_context, lanes, primitive_root
-from .linalg import Mat, Subspace, row_times_mat
+from .linalg import Mat, Subspace, dual
 
 ORBIT_CAP = 2**20
 # the most pairs one quadratic scan may take: the fast analyzer per M-cycle
 # (pairs of 1-dim subspaces when the scalars lie in <M>), the exhaustive
 # decoder per decode
 PAIR_LIMIT = 2**24
-
-REGIMES = ("primitive", "irreducible", "completely_reducible", "non_semisimple", "general")
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,8 +106,6 @@ def _regime(spec: ElementaryDivisorSpec) -> str:
 
 def make_code(spec: ElementaryDivisorSpec, start_rows) -> CyclicOrbitCode:
     """Orbit code from elementary-divisor data and start subspace rows."""
-    from .canonical import build_generator
-
     gen = build_generator(spec, require_invertible=True)
     if isinstance(start_rows, Subspace):
         start = start_rows
@@ -168,11 +164,7 @@ def _make_stepper(code: CyclicOrbitCode):
     generator: one multiply-by-x per block, or a matrix product for a bare
     matrix. It reads no cycle index."""
     if code.block_structure is None:
-        L, gen = lanes(code.q, code.n), code.generator
-
-        def step_row(v):
-            return L.pack(row_times_mat(L.unpack(v), gen))
-
+        step_row = code.generator.apply
     else:
         blocks = [
             (s, mask, ctx.mul_by_x_code) for s, mask, ctx in _packed_blocks(code.block_structure)
@@ -207,12 +199,12 @@ def codeword(code: CyclicOrbitCode, exponent: int) -> Subspace:
     return Subspace.from_packed(code.q, code.n, rows)
 
 
-def _walk(code: CyclicOrbitCode, cap: int):
+def _walk(code: CyclicOrbitCode):
     """Yields (packed rows of UM^h, r) for h = 1, 2, ... until UM^h = U.
 
     The rows are reduced against RREF(U); what is left has rank
     r = k - dim(U cap UM^h), and r = 0 means the orbit has closed. An
-    orbit of more than `cap` codewords raises OrbitCapError.
+    orbit of more than ORBIT_CAP codewords raises OrbitCapError.
     """
     step = _make_stepper(code)
     start = code.start
@@ -223,20 +215,18 @@ def _walk(code: CyclicOrbitCode, cap: int):
         r = start.residual_rank(rows)
         if not r:
             return
-        if h >= cap:
-            raise OrbitCapError(f"orbit exceeds the cap of {cap} subspaces")
+        if h >= ORBIT_CAP:
+            raise OrbitCapError(f"orbit exceeds the cap of {ORBIT_CAP} subspaces")
         yield rows, r
         h += 1
 
 
-def enumerate_orbit(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> list[Subspace]:
+def enumerate_orbit(code: CyclicOrbitCode) -> list[Subspace]:
     """[U, UM, UM^2, ...] up to the first repeat of U; all canonical."""
-    return [code.start] + [
-        Subspace.from_packed(code.q, code.n, rows) for rows, _ in _walk(code, cap)
-    ]
+    return [code.start] + [Subspace.from_packed(code.q, code.n, rows) for rows, _ in _walk(code)]
 
 
-def analyze_naive(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> CodeParams:
+def analyze_naive(code: CyclicOrbitCode) -> CodeParams:
     """Exhaustive orbit walk. Distances are measured from the start
     subspace only; the transversal argument makes that the full picture.
     Each step multiplies k packed rows by the generator and reads the
@@ -244,7 +234,7 @@ def analyze_naive(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> CodeParams:
     Subspace is built and no cycle index is read."""
     k = code.k
     dist = [1] + [0] * k
-    for _, r in _walk(code, cap):
+    for _, r in _walk(code):
         dist[r] += 1
     best = next((2 * r for r in range(1, k + 1) if dist[r]), None)
     return CodeParams(sum(dist), best, tuple(dist))
@@ -418,10 +408,7 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
 
 
 def analyze(
-    code: CyclicOrbitCode,
-    method: str = "auto",
-    with_distribution: bool = False,
-    cap: int = ORBIT_CAP,
+    code: CyclicOrbitCode, method: str = "auto", with_distribution: bool = False
 ) -> CodeParams:
     """Analyze by the requested method.
 
@@ -438,7 +425,7 @@ def analyze(
         return _analyze_blocks(code, with_distribution)
     if method == "fast":
         raise DomainError("the fast analyzer needs a block-structured generator, not a bare matrix")
-    params = analyze_naive(code, cap=cap)
+    params = analyze_naive(code)
     # the oracle computes the distribution anyway; drop it unless asked
     if not with_distribution:
         return CodeParams(params.cardinality, params.min_distance)
@@ -595,15 +582,13 @@ def block_bounds(
 
 def dual_code(code: CyclicOrbitCode) -> CyclicOrbitCode:
     """The dual orbit code (U^perp)<M^t>."""
-    from .linalg import dual
-
     return general_code(code.generator.transpose(), dual(code.start))
 
 
-def macwilliams_check(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> bool:
+def macwilliams_check(code: CyclicOrbitCode) -> bool:
     """True iff the code and its dual share the nonzero distance enumerator."""
-    D = analyze_naive(code, cap=cap).distribution
-    Dd = analyze_naive(dual_code(code), cap=cap).distribution
+    D = analyze_naive(code).distribution
+    Dd = analyze_naive(dual_code(code)).distribution
     m = max(len(D), len(Dd))
     pad = lambda t: t + (0,) * (m - len(t))
     return pad(D) == pad(Dd)

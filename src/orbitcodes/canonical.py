@@ -21,6 +21,7 @@ from .fields import (
     factor_poly,
     factorize,
     is_irreducible,
+    lanes,
     poly_order,
     power_order,
 )
@@ -90,16 +91,13 @@ def build_generator(spec: ElementaryDivisorSpec, require_invertible: bool = True
         raise SingularMatrixError(
             "generator is singular: a block polynomial has p(0) = 0"
         )
-    rows = [[0] * n for _ in range(n)]
-    offset = 0
+    w = lanes(q, n).w
+    codes: list[int] = []
     for p, e in spec.blocks:
-        block = companion_matrix(poly_pow(p, e))
-        m = block.nrows
-        for i in range(m):
-            for j in range(m):
-                rows[offset + i][offset + j] = block.rows[i][j]
-        offset += m
-    return Mat.make(q, rows)
+        # a block's rows sit at lane offset len(codes), its own row count
+        shift = w * len(codes)
+        codes += [c << shift for c in companion_matrix(poly_pow(p, e)).codes]
+    return Mat(q, n, tuple(codes))
 
 
 @dataclass(frozen=True)
@@ -117,40 +115,48 @@ class MatrixType:
 
 
 def char_poly(A: Mat) -> Poly:
-    """det(xI - A) over F_q[x] by subset dynamic programming; monic."""
+    """det(xI - A) over F_q[x] by Krylov elimination; monic.
+
+    For each unit vector e in turn, the rows e A^t, t = 0, 1, ..., are
+    forward-eliminated against the pivot rows so far until one reduces to
+    zero. Row t enters with a 1 in tag lane t, so the zero row's tags are a
+    monic g with e g(A) in the span W of the earlier runs. W plus the run is
+    A-invariant and g is the characteristic polynomial of A on it modulo W,
+    so chi is the product of the g (g = 1 for an e already in W)."""
     n = A.nrows
     if n != A.ncols:
         raise DomainError("characteristic polynomial of a non-square matrix")
-    field = PrimeField(A.q)
-    x = Poly.make(field, [0, 1])
-    entries = [
-        [
-            (x if i == j else Poly(field, ())) - Poly.make(field, [A.rows[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    zero = Poly(field, ())
-    state: dict[int, Poly] = {0: Poly.make(field, [1])}
-    for r in range(n):
-        nxt: dict[int, Poly] = {}
-        for mask, val in state.items():
-            if val.is_zero:
-                continue
-            pos = 0
-            for j in range(n):
-                if mask & (1 << j):
-                    continue
-                e = entries[r][j]
-                if not e.is_zero:
-                    term = val * e
-                    if pos & 1:
-                        term = -term
-                    key = mask | (1 << j)
-                    nxt[key] = nxt.get(key, zero) + term
-                pos += 1
-        state = nxt
-    return state.get((1 << n) - 1, zero)
+    q = A.q
+    field = PrimeField(q)
+    # n ambient lanes, then n + 1 tag lanes
+    L = lanes(q, 2 * n + 1)
+    w, m, add, scale = L.w, L.m, L.add, L.scale
+    top = w * n
+    ambient = (1 << top) - 1
+    chi = Poly.make(field, [1])
+    piv: list[tuple[int, int]] = []  # (bit offset of the pivot lane, row)
+    for e in Mat.identity(q, n).codes:
+        if len(piv) == n:
+            break
+        run = len(piv)
+        k, t = e, 0  # k = e A^t
+        while True:
+            v = k | (1 << (top + w * t))
+            for s, r in piv:
+                c = (v >> s) & m
+                if c:
+                    v = add(v, r if c == q - 1 else scale(r, q - c))
+            if not v & ambient:
+                break
+            s = (v & -v).bit_length() - 1
+            s -= s % w
+            c = (v >> s) & m
+            piv.append((s, v if c == 1 else scale(v, pow(c, -1, q))))
+            k, t = A.apply(k), t + 1
+        chi = chi * Poly.make(field, lanes(q, t + 1).unpack(v >> top))
+        # the run's rows join W; the next run's tags must not pick up theirs
+        piv[run:] = [(s, r & ambient) for s, r in piv[run:]]
+    return chi
 
 
 def matrix_order(M: Mat) -> int:
@@ -177,20 +183,12 @@ def matrix_order(M: Mat) -> int:
 
 
 def _evaluate_at_matrix(p: Poly, A: Mat) -> Mat:
-    n = A.nrows
-    out = Mat.make(A.q, [[0] * n for _ in range(n)])
+    """p(A) by Horner on packed rows: out <- out A + c I per coefficient."""
+    L = lanes(A.q, A.nrows)
+    codes = [0] * A.nrows
     for c in reversed(p.coeffs):
-        out = out * A
-        if c:
-            ident = Mat.identity(A.q, n)
-            out = Mat(
-                A.q,
-                tuple(
-                    tuple((a + c * b) % A.q for a, b in zip(row_o, row_i))
-                    for row_o, row_i in zip(out.rows, ident.rows)
-                ),
-            )
-    return out
+        codes = [L.add(A.apply(r), c << s) for r, s in zip(codes, L.shifts)]
+    return Mat(A.q, A.ncols, tuple(codes))
 
 
 def matrix_type(A: Mat) -> MatrixType:

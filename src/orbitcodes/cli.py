@@ -29,6 +29,7 @@ from .errors import DomainError
 from .fields import (
     Poly,
     PrimeField,
+    check_index_limit,
     field_context,
     find_irreducible_with_order,
     is_irreducible,
@@ -149,6 +150,8 @@ def cmd_search(args) -> int:
         raise DomainError("search needs --q, --n and --k")
     _check_jobs(args)
     field = PrimeField(args.q)
+    # the generator is one degree-n polynomial, whose ring is indexed
+    check_index_limit(args.q, args.n)
     if args.poly:
         p = _poly_from_args(args.q, args.poly)
     elif args.order is not None:

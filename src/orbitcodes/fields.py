@@ -616,6 +616,20 @@ def find_irreducible_with_order(field: PrimeField, degree: int, order: int) -> P
     )  # unreachable when the precheck passes
 
 
+def check_index_limit(q: int, n: int) -> int:
+    """q^n - 1, the size of the cycle index of a degree-n modulus over
+    GF(q), or DomainError when it is above CYCLE_INDEX_LIMIT. It costs
+    nothing, so a caller that will index the ring calls it before any
+    polynomial scan."""
+    total = q**n - 1
+    if total > CYCLE_INDEX_LIMIT:
+        raise DomainError(
+            f"the cycle index of GF({q})[x] mod a degree-{n} polynomial (q={q}, degree {n}) "
+            f"would hold {total} elements, above the limit of {CYCLE_INDEX_LIMIT}"
+        )
+    return total
+
+
 def least_primitive(field: PrimeField, degree: int) -> Poly:
     """Least monic primitive polynomial of the given degree."""
     return find_irreducible_with_order(field, degree, field.q**degree - 1)
@@ -759,13 +773,7 @@ class FieldCtx(PackedRing):
         run of slots, its start element first."""
         if self.modulus.coeff(0) == 0:
             raise DomainError("x is not a unit mod this modulus")
-        q, n = self.q, self.n
-        total = q**n - 1
-        if total > CYCLE_INDEX_LIMIT:
-            raise DomainError(
-                f"the cycle index of GF({q})[x]/({self.modulus}) (q={q}, degree {n}) "
-                f"would hold {total} elements, above the limit of {CYCLE_INDEX_LIMIT}"
-            )
+        total = check_index_limit(self.q, self.n)
         size = 1 << (self._top + self.lanes.w)
         if size <= 2 * (total + 1):
             # the codes fill most of range(size): a flat table, -1 = no slot

@@ -80,20 +80,6 @@ def _random_full_rank_rows(
             return raw, space
 
 
-def _combinations(q: int, n: int, coeffs: list[int], rows) -> list[int]:
-    """sum_j c_j rows[j] for each packed coefficient row c of F_q^len(rows),
-    rows packed in F_q^n."""
-    L, unpack = lanes(q, n), lanes(q, len(rows)).unpack
-    out = []
-    for c in coeffs:
-        row = 0
-        for a, v in zip(unpack(c), rows):
-            if a:
-                row = L.add(row, L.scale(v, a))
-        out.append(row)
-    return out
-
-
 def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Subspace:
     q, n, k = V.q, V.n, V.dim
     if erasures < 0 or errors < 0:
@@ -102,7 +88,7 @@ def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Su
         raise DomainError(f"cannot erase {erasures} dimensions from a {k}-dim space")
     # V' = random keep-dim subspace of V via a random full-rank coefficient matrix
     coeff, _ = _random_full_rank_rows(rng, q, k - erasures, k)
-    r_rows = _combinations(q, n, coeff, V.codes)
+    r_rows = list((Mat(q, k, tuple(coeff)) * V.matrix).codes)
     # each error vector is sampled outside V + the errors so far, so the
     # received space has dimension keep+errors and meets V exactly in V'
     blocked = V

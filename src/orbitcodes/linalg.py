@@ -1,9 +1,10 @@
 """Linear algebra over F_q: matrices, canonical subspaces, the subspace
 metric, duality, companion matrices, and the algebra isomorphism psi.
 
-Subspaces are always stored as the unique RREF of their row space, so
-structural equality is subspace equality and Subspace objects can be dict
-keys. Row vectors act on matrices from the left throughout (v M, U A).
+Matrices and subspaces hold their rows packed, one int per row (see
+fields.Lanes). Subspaces are always stored as the unique RREF of their row
+space, so structural equality is subspace equality and Subspace objects can
+be dict keys. Row vectors act on matrices from the left throughout (v M, U A).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, SingularMatrixError
-from .fields import FieldCtx, Lanes, Poly, RingElem, check_entries, lanes, phi
+from .fields import FieldCtx, Lanes, Poly, RingElem, check_entries, lanes
 
 Row = tuple[int, ...]
 
@@ -51,30 +52,27 @@ def _rref_rows(codes, lanes_: Lanes) -> tuple[list[int], tuple[int, ...]]:
     return [piv[s] for s in order], tuple(s // w for s in order)
 
 
-def _rref_tuples(rows, q: int, ncols: int) -> tuple[list[Row], tuple[int, ...]]:
-    """_rref_rows for rows given as sequences of ints."""
-    L = lanes(q, ncols)
-    reduced, pivots = _rref_rows([L.pack(r) for r in rows], L)
-    return [L.unpack(c) for c in reduced], pivots
-
-
 @dataclass(frozen=True)
 class Mat:
-    """Dense matrix over F_q, entries reduced mod q, row-major tuples."""
+    """Dense matrix over F_q: the column count and one packed row of F_q^ncols
+    per row; `rows` reads them as tuples. Build through make/identity/from_text;
+    the raw constructor trusts its codes."""
 
     q: int
-    rows: tuple[Row, ...]
+    ncols: int
+    codes: tuple[int, ...]
 
     @classmethod
     def make(cls, q: int, rows) -> "Mat":
-        out = tuple(tuple(int(x) % q for x in row) for row in rows)
-        if out and any(len(r) != len(out[0]) for r in out):
+        rows = [tuple(row) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise DomainError("ragged matrix rows")
-        return cls(q, out)
+        return cls(q, ncols, tuple(map(lanes(q, ncols).pack, rows)))
 
     @classmethod
     def identity(cls, q: int, n: int) -> "Mat":
-        return cls(q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(q, n, tuple(1 << s for s in lanes(q, n).shifts))
 
     @classmethod
     def from_text(cls, q: int, text: str) -> "Mat":
@@ -96,26 +94,34 @@ class Mat:
     def to_text(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        unpack = lanes(self.q, self.ncols).unpack
+        return tuple([unpack(c) for c in self.codes])
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def nrows(self) -> int:
+        return len(self.codes)
+
+    def apply(self, v: int) -> int:
+        """The packed row vector v of F_q^nrows times this matrix, packed:
+        the sum of v_i times row i."""
+        L = lanes(self.q, self.ncols)
+        w, m, add, scale = L.w, L.m, L.add, L.scale
+        out = 0
+        for r in self.codes:
+            if not v:
+                break
+            c = v & m
+            if c:
+                out = add(out, r if c == 1 else scale(r, c))
+            v >>= w
+        return out
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.q != other.q or self.ncols != other.nrows:
             raise DomainError("matrix product shape/field mismatch")
-        q = self.q
-        cols = list(zip(*other.rows))
-        return Mat(
-            q,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % q for col in cols)
-                for row in self.rows
-            ),
-        )
+        return Mat(self.q, other.ncols, tuple([other.apply(r) for r in self.codes]))
 
     def __pow__(self, e: int) -> "Mat":
         if self.nrows != self.ncols:
@@ -131,36 +137,36 @@ class Mat:
         return result
 
     def transpose(self) -> "Mat":
-        return Mat(self.q, tuple(zip(*self.rows)))
+        L, rows = lanes(self.q, self.ncols), list(enumerate(self.codes))
+        cols = [sum(((r >> s) & L.m) << (L.w * i) for i, r in rows) for s in L.shifts]
+        return Mat(self.q, self.nrows, tuple(cols))
 
     def rank(self) -> int:
-        return len(_rref_tuples(self.rows, self.q, self.ncols)[1])
+        return len(_rref_rows(self.codes, lanes(self.q, self.ncols))[1])
 
     def inverse(self) -> "Mat":
+        """Gauss-Jordan on [A | I], I packed into the high lanes."""
         n = self.nrows
         if n != self.ncols:
             raise SingularMatrixError("inverse of a non-square matrix")
-        q = self.q
-        aug = [list(self.rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        reduced, pivots = _rref_tuples(aug, q, 2 * n)
-        if len(pivots) != n or pivots != tuple(range(n)):
+        L = lanes(self.q, 2 * n)
+        top = L.w * n
+        aug = [r | (1 << (top + s)) for r, s in zip(self.codes, L.shifts)]
+        reduced, pivots = _rref_rows(aug, L)
+        if pivots != tuple(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Mat(q, tuple(row[n:] for row in reduced))
+        return Mat(self.q, n, tuple([r >> top for r in reduced]))
 
 
 def row_times_mat(v: Row, M: Mat) -> Row:
-    q = M.q
-    return tuple(
-        sum(v[i] * M.rows[i][j] for i in range(len(v))) % q for j in range(M.ncols)
-    )
+    """v M for a coefficient tuple v; Mat.apply on packed rows."""
+    return lanes(M.q, M.ncols).unpack(M.apply(lanes(M.q, M.nrows).pack(v)))
 
 
 def rref(M: Mat) -> tuple[Mat, int]:
     """Reduced row echelon form (same shape, zero rows at the bottom) and rank."""
-    reduced, pivots = _rref_tuples(M.rows, M.q, M.ncols)
-    rank = len(pivots)
-    pad = tuple((0,) * M.ncols for _ in range(M.nrows - rank))
-    return Mat(M.q, tuple(reduced) + pad), rank
+    reduced, pivots = _rref_rows(M.codes, lanes(M.q, M.ncols))
+    return Mat(M.q, M.ncols, tuple(reduced) + (0,) * (M.nrows - len(pivots))), len(pivots)
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ class Subspace:
 
     @classmethod
     def from_matrix(cls, M: Mat) -> "Subspace":
-        return cls.from_rows(M.q, M.ncols, M.rows)
+        return cls.from_packed(M.q, M.ncols, M.codes)
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
@@ -210,7 +216,7 @@ class Subspace:
 
     @property
     def matrix(self) -> Mat:
-        return Mat(self.q, self.rows)
+        return Mat(self.q, self.n, self.codes)
 
     @cached_property
     def _pivot_rows(self) -> tuple[tuple[int, int], ...]:
@@ -269,9 +275,7 @@ class Subspace:
         """The image subspace { uM : u in U }, canonicalized."""
         if M.nrows != self.n:
             raise DomainError("transform shape mismatch")
-        return Subspace.from_rows(
-            self.q, M.ncols, [row_times_mat(r, M) for r in self.rows]
-        )
+        return Subspace.from_packed(self.q, M.ncols, [M.apply(c) for c in self.codes])
 
     def __repr__(self) -> str:
         return f"Subspace(q={self.q}, n={self.n}, dim={self.dim})"
@@ -325,12 +329,9 @@ def companion_matrix(f: Poly) -> Mat:
     if n < 1:
         raise DomainError("companion matrix needs degree >= 1")
     q = f.field.q
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = 1
-    for j in range(n):
-        rows[n - 1][j] = (-f.coeff(j)) % q
-    return Mat.make(q, rows)
+    L = lanes(q, n)
+    last = L.pack([-f.coeff(j) for j in range(n)])
+    return Mat(q, n, tuple(1 << s for s in L.shifts[1:]) + (last,))
 
 
 def psi(A: Mat, ctx: FieldCtx) -> RingElem:
@@ -342,7 +343,7 @@ def psi(A: Mat, ctx: FieldCtx) -> RingElem:
     """
     if A.nrows != ctx.n or A.ncols != ctx.n or A.q != ctx.q:
         raise DomainError("matrix shape does not match the context")
-    u = phi(A.rows[0], ctx)
+    u = RingElem(ctx, A.codes[0])
     if psi_inv(u) != A:
         raise DomainError("matrix is not a polynomial in the companion matrix")
     return u
@@ -351,9 +352,7 @@ def psi(A: Mat, ctx: FieldCtx) -> RingElem:
 def psi_inv(u: RingElem) -> Mat:
     """Inverse of psi: row j of the result is x^j * u mod f."""
     ctx = u.ctx
-    rows = []
-    code = u.code
-    for _ in range(ctx.n):
-        rows.append(ctx.lanes.unpack(code))
-        code = ctx.mul_by_x_code(code)
-    return Mat(ctx.q, tuple(rows))
+    codes = [u.code]
+    for _ in range(ctx.n - 1):
+        codes.append(ctx.mul_by_x_code(codes[-1]))
+    return Mat(ctx.q, ctx.n, tuple(codes))

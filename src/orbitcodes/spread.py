@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .analysis import ORBIT_CAP, CyclicOrbitCode, enumerate_orbit, make_code
+from .analysis import CyclicOrbitCode, enumerate_orbit, make_code
 from .canonical import ElementaryDivisorSpec
 from .errors import DomainError
 from .fields import (
     FieldCtx,
     Poly,
     PrimeField,
+    check_index_limit,
     field_context,
     find_irreducible_with_order,
     is_primitive,
@@ -45,6 +46,7 @@ class SpreadSpec:
         if n % k != 0:
             raise DomainError(f"spread needs k | n, got k={k}, n={n}")
         field = PrimeField(q)
+        check_index_limit(q, n)
         if p is None:
             p = least_primitive(field, n)
         else:
@@ -71,14 +73,14 @@ def build_spread(spec: SpreadSpec) -> CyclicOrbitCode:
     return make_code(block, spread_start_rows(spec))
 
 
-def verify_spread(code: CyclicOrbitCode, cap: int = ORBIT_CAP) -> bool:
+def verify_spread(code: CyclicOrbitCode) -> bool:
     """True iff the orbit is a spread: right cardinality and the codewords
     cover every nonzero vector exactly once."""
     q, n, k = code.q, code.n, code.k
     if (q**n - 1) % (q**k - 1) != 0:
         return False
     expected = (q**n - 1) // (q**k - 1)
-    orbit = enumerate_orbit(code, cap=cap)
+    orbit = enumerate_orbit(code)
     if len(orbit) != expected:
         return False
     seen: set[tuple[int, ...]] = set()
@@ -161,6 +163,7 @@ def build_nonprimitive_spread(q: int, k: int, n: int) -> CyclicOrbitCode:
     if k < 1 or n % k != 0:
         raise DomainError(f"spread needs k | n, got k={k}, n={n}")
     field = PrimeField(q)
+    check_index_limit(q, n)
     c = (q**n - 1) // (q**k - 1)
     p = find_irreducible_with_order(field, n, c)
     ctx = field_context(p)

@@ -86,10 +86,13 @@ def test_enumerate_orbit_structure():
     assert codeword(code, -1) == orbit[4]
 
 
-def test_enumerate_orbit_cap():
+def test_enumerate_orbit_cap(monkeypatch):
+    from orbitcodes import analysis
+
     code = make_code(single_block(X6_X_1), [(1, 0, 0, 0, 0, 0)])
-    with pytest.raises(OrbitCapError):
-        enumerate_orbit(code, cap=10)
+    monkeypatch.setattr(analysis, "ORBIT_CAP", 10)
+    with pytest.raises(OrbitCapError, match="cap of 10 subspaces"):
+        enumerate_orbit(code)
 
 
 @pytest.mark.parametrize(
@@ -100,17 +103,22 @@ def test_enumerate_orbit_cap():
         (ElementaryDivisorSpec.make(P2, [(X2_X_1, 2), (X3_X_1, 1)]), [(1, 0, 0, 0, 1, 0, 0)]),
     ],
 )
-def test_naive_cap_contract(spec, rows):
-    # the cap bounds the number of codewords: exactly cardinality passes
+def test_naive_cap_contract(monkeypatch, spec, rows):
+    from orbitcodes import analysis
+
+    # ORBIT_CAP bounds the number of codewords, read at call time: exactly
+    # cardinality passes
     code = make_code(spec, rows)
     card = analyze_naive(code).cardinality
     assert card > 1
+    monkeypatch.setattr(analysis, "ORBIT_CAP", card - 1)
     with pytest.raises(OrbitCapError):
-        analyze_naive(code, cap=card - 1)
-    assert analyze_naive(code, cap=card).cardinality == card
+        analyze_naive(code)
     with pytest.raises(OrbitCapError):
-        enumerate_orbit(code, cap=card - 1)
-    assert len(enumerate_orbit(code, cap=card)) == card
+        enumerate_orbit(code)
+    monkeypatch.setattr(analysis, "ORBIT_CAP", card)
+    assert analyze_naive(code).cardinality == card
+    assert len(enumerate_orbit(code)) == card
 
 
 def test_naive_oracle_reads_no_cycle_index(monkeypatch):

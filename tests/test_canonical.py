@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from orbitcodes import (
     poly_order,
     same_group_type,
 )
-from orbitcodes.canonical import MAX_CLASSIFY_DIM
+from orbitcodes.canonical import MAX_CLASSIFY_DIM, poly_pow
 
 from conftest import P2, P3, X2_X_1, X3_X_1, X4_NONPRIM, X4_X_1, X6_X_1, poly_of
 
@@ -61,7 +62,9 @@ def char_poly_oracle(A):
 
 
 _rng = random.Random(SEED)
-_char_cases = [(q, _rng.randrange(1, 5), _rng.getrandbits(30)) for q in (2, 3, 5) for _ in range(6)]
+_char_cases = [
+    (q, _rng.randrange(1, 5), _rng.getrandbits(30)) for q in (2, 3, 5, 7) for _ in range(6)
+]
 
 
 @pytest.mark.parametrize("q,n,salt", _char_cases)
@@ -74,6 +77,60 @@ def test_char_poly_matches_cofactor_oracle(q, n, salt):
 @pytest.mark.parametrize("p", [X4_X_1, X6_X_1, X4_NONPRIM, X2_X_1])
 def test_char_poly_of_companion_is_the_polynomial(p):
     assert char_poly(companion_matrix(p)) == p
+
+
+def rand_square(rng, q, n):
+    return Mat.make(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+
+
+def eval_at_matrix(f, A):
+    """f(A) by Horner on coefficient tuples, independent of the library."""
+    q, n = A.q, A.nrows
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(f.coeffs):
+        out = [
+            [
+                (sum(row[t] * A.rows[t][j] for t in range(n)) + (c if i == j else 0)) % q
+                for j in range(n)
+            ]
+            for i, row in enumerate(out)
+        ]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_char_poly_cayley_hamilton(q):
+    rng = random.Random(SEED + 11 * q)
+    for _ in range(4):
+        n = rng.randrange(1, 21)
+        A = rand_square(rng, q, n)
+        if rng.randrange(2):
+            # a repeated row makes A singular
+            A = Mat.make(q, A.rows[:-1] + A.rows[:1])
+        chi = char_poly(A)
+        assert chi.is_monic and chi.degree == n
+        assert eval_at_matrix(chi, A) == [[0] * n for _ in range(n)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_char_poly_is_a_similarity_invariant(q):
+    rng = random.Random(SEED + 13 * q)
+    for _ in range(8):
+        n = rng.randrange(1, 9)
+        A = rand_square(rng, q, n)
+        while True:
+            S = rand_square(rng, q, n)
+            if S.rank() == n:
+                break
+        assert char_poly(S.inverse() * A * S) == char_poly(A)
+
+
+def test_char_poly_of_a_dense_n32_matrix_is_fast():
+    A = rand_square(random.Random(SEED), 3, 32)
+    t0 = time.perf_counter()
+    chi = char_poly(A)
+    assert time.perf_counter() - t0 < 1.0
+    assert chi.degree == 32 and eval_at_matrix(chi, A) == [[0] * 32] * 32
 
 
 @pytest.mark.parametrize("q,max_deg,cases", [(2, 6, 25), (3, 4, 20)])
@@ -145,6 +202,28 @@ def test_build_generator_block_layout():
                 assert M.rows[i][j] == 0
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(X4_X_1, 1), (X6_X_1, 1)],
+        [(X2_X_1, 2), (X3_X_1, 1), (X2_X_1, 1)],
+        [(poly_of(3, [1, 0, 1]), 2), (poly_of(3, [1, 1]), 1)],
+        [(poly_of(5, [2, 1]), 3), (poly_of(5, [2, 0, 1]), 1)],
+    ],
+)
+def test_build_generator_matches_tuple_assembly(blocks):
+    spec = ElementaryDivisorSpec.make(blocks[0][0].field, blocks)
+    n = spec.n
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for p, e in blocks:
+        C = companion_matrix(poly_pow(p, e))
+        for i, row in enumerate(C.rows):
+            rows[off + i][off : off + C.nrows] = row
+        off += C.nrows
+    assert build_generator(spec) == Mat.make(spec.field.q, rows)
+
+
 def test_build_generator_rejects_singular():
     spec = ElementaryDivisorSpec.make(P2, [(poly_of(2, [0, 1]), 1)])  # p = x
     with pytest.raises(SingularMatrixError):
@@ -169,6 +248,10 @@ def test_generator_order_matches_matrix_order(blocks, order):
     spec = ElementaryDivisorSpec.make(blocks[0][0].field, blocks)
     assert spec.generator_order() == order
     assert matrix_order(build_generator(spec)) == order
+    # chi is the product of the elementary divisors
+    assert char_poly(build_generator(spec)) == math.prod(
+        (poly_pow(p, e) for p, e in blocks), start=Poly.make(spec.field, [1])
+    )
 
 
 def _primes_dividing(m):

@@ -184,11 +184,17 @@ def test_spread_nonprimitive(capsys):
     [
         (["search", "--q", "2", "--n", "61", "--k", "1", "--seed", "1", "--trials", "1"], 61),
         (["spread", "--q", "2", "--n", "62", "--k", "2"], 62),
+        # refused before the scan of the 2^40 monic polynomials for this order
+        (
+            ["search", "--q", "2", "--n", "40", "--k", "1", "--order", "1048577"]
+            + ["--seed", "1", "--trials", "1"],
+            40,
+        ),
     ],
 )
 def test_oversized_field_refused_at_the_index_limit(capsys, argv, degree):
-    # the primitive polynomial and its order come quickly; the cycle index
-    # of 2^degree - 1 elements is refused
+    # the cycle index of 2^degree - 1 elements is refused before any
+    # polynomial is sought
     rc, out, err = run(capsys, argv)
     assert rc == 1 and out == ""
     assert f"(q=2, degree {degree})" in err and "limit of 4194304" in err

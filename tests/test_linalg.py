@@ -1,5 +1,6 @@
 """Matrices, subspaces, duals and companion matrices."""
 
+import dataclasses
 import random
 from itertools import product
 
@@ -23,6 +24,7 @@ from orbitcodes import (
     subspace_distance,
     subspace_sum,
 )
+from orbitcodes.fields import lanes
 from orbitcodes.linalg import rref, row_times_mat
 
 from conftest import P2, X2_X_2_F3, X4_NONPRIM, X4_X_1, X6_X_1, poly_of, rand_full_rank, span_size
@@ -49,8 +51,13 @@ def naive_mul(A, B):
 _mul_rng = random.Random(SEED)
 _mul_cases = [
     (q, _mul_rng.randrange(1, 5), _mul_rng.randrange(1, 5), _mul_rng.randrange(1, 5))
-    for q in (2, 3, 5)
+    for q in (2, 3, 5, 7)
     for _ in range(8)
+] + [
+    # A with one row, B with one column, and A with one column times B with one row
+    (q, r, m, c)
+    for q in (2, 3, 5, 7)
+    for r, m, c in ((1, 5, 6), (6, 5, 1), (5, 1, 6))
 ]
 
 
@@ -82,7 +89,7 @@ def test_mat_shape_mismatch():
         rand_mat(random.Random(0), 2, 2, 3) * rand_mat(random.Random(1), 2, 2, 3)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_inverse_round_trip(q):
     rng = random.Random(SEED + q)
     I = Mat.identity(q, 4)
@@ -103,6 +110,15 @@ def test_singular_inverse_raises():
     A = Mat.make(2, [[1, 1], [1, 1]])
     with pytest.raises(SingularMatrixError):
         A.inverse()
+    rng = random.Random(SEED)
+    for q in (3, 5, 7):
+        # the last row is a combination of the others
+        A = rand_mat(rng, q, 4, 5)
+        last = [(2 * a + (q - 1) * b) % q for a, b in zip(A.rows[0], A.rows[2])]
+        with pytest.raises(SingularMatrixError):
+            Mat.make(q, [*A.rows, last]).inverse()
+    with pytest.raises(SingularMatrixError):
+        rand_mat(rng, 3, 2, 3).inverse()  # not square
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -120,6 +136,32 @@ def test_rref_shape_and_idempotence():
     assert rank == 2
     R2, rank2 = rref(R)
     assert (R2, rank2) == (R, rank)
+
+
+def test_mat_stores_packed_rows():
+    M = Mat.make(3, [(0, 1, 2), (2, 2, 0)])
+    assert [f.name for f in dataclasses.fields(Mat)] == ["q", "ncols", "codes"]
+    w = lanes(3, 3).w
+    assert M.codes == (1 << w | 2 << 2 * w, 2 | 2 << w)
+    assert M.rows == ((0, 1, 2), (2, 2, 0))
+    # (1, 2) M = (1, 2, 2)
+    assert M.apply(1 | 2 << w) == (Mat.make(3, [(1, 2)]) * M).codes[0] == 1 | 2 << w | 2 << 2 * w
+    assert (M.nrows, M.ncols) == (2, 3)
+    assert M.transpose().rows == ((0, 2), (1, 2), (2, 0))
+
+
+def test_transform_matches_tuple_row_times_matrix(rng):
+    for q in (2, 3, 5, 7):
+        for _ in range(10):
+            n, m = rng.randrange(1, 6), rng.randrange(1, 6)
+            U = rand_full_rank(rng, q, rng.randrange(1, n + 1), n)
+            M = rand_mat(rng, q, n, m)
+            images = [
+                [sum(u[i] * M.rows[i][j] for i in range(n)) % q for j in range(m)]
+                for u in U.rows
+            ]
+            assert U.transform(M) == Subspace.from_rows(q, m, images)
+            assert [row_times_mat(u, M) for u in U.rows] == [tuple(v) for v in images]
 
 
 def test_pow_negative_and_zero():

@@ -138,6 +138,23 @@ def test_nonprimitive_spread_verifies(q, k, n):
     assert (params.cardinality, params.min_distance) == (c, 2 * k)
 
 
+def test_oversized_spread_refused_before_the_polynomial_scan(monkeypatch):
+    from orbitcodes import fields, spread
+
+    def no_scan(*args):
+        raise AssertionError("polynomial scan started for a field above the index limit")
+
+    monkeypatch.setattr(fields, "CYCLE_INDEX_LIMIT", 2**10)
+    monkeypatch.setattr(spread, "least_primitive", no_scan)
+    monkeypatch.setattr(spread, "find_irreducible_with_order", no_scan)
+    with pytest.raises(DomainError, match=r"\(q=2, degree 12\).* limit of 1024"):
+        SpreadSpec.make(2, 4, 12)
+    with pytest.raises(DomainError, match=r"\(q=2, degree 12\).* limit of 1024"):
+        build_nonprimitive_spread(2, 4, 12)
+    # 2^10 - 1 elements is within the limit
+    assert SpreadSpec.make(2, 2, 10, p=Poly.make(P2, [1, 0, 0, 1] + [0] * 6 + [1])).c == 341
+
+
 def test_nonprimitive_rejects_bad_k():
     with pytest.raises(DomainError):
         build_nonprimitive_spread(2, 3, 4)
