@@ -119,10 +119,11 @@ def char_poly(A: Mat) -> Poly:
 
     For each unit vector e in turn, the rows e A^t, t = 0, 1, ..., are
     forward-eliminated against the pivot rows so far until one reduces to
-    zero. Row t enters with a 1 in tag lane t, so the zero row's tags are a
-    monic g with e g(A) in the span W of the earlier runs. W plus the run is
-    A-invariant and g is the characteristic polynomial of A on it modulo W,
-    so chi is the product of the g (g = 1 for an e already in W)."""
+    zero. Row t enters with a 1 in tag lane t, so the zero row's tags are,
+    up to a scalar, a monic g with e g(A) in the span W of the earlier runs.
+    W plus the run is A-invariant and g is the characteristic polynomial of
+    A on it modulo W, so chi is the product of the g (g = 1 for an e
+    already in W)."""
     n = A.nrows
     if n != A.ncols:
         raise DomainError("characteristic polynomial of a non-square matrix")
@@ -130,8 +131,7 @@ def char_poly(A: Mat) -> Poly:
     field = PrimeField(q)
     # n ambient lanes, then n + 1 tag lanes
     L = lanes(q, 2 * n + 1)
-    w, m, add, scale = L.w, L.m, L.add, L.scale
-    top = w * n
+    top = L.w * n
     ambient = (1 << top) - 1
     chi = Poly.make(field, [1])
     piv: list[tuple[int, int]] = []  # (bit offset of the pivot lane, row)
@@ -141,19 +141,13 @@ def char_poly(A: Mat) -> Poly:
         run = len(piv)
         k, t = e, 0  # k = e A^t
         while True:
-            v = k | (1 << (top + w * t))
-            for s, r in piv:
-                c = (v >> s) & m
-                if c:
-                    v = add(v, r if c == q - 1 else scale(r, q - c))
-            if not v & ambient:
+            piv = L.echelon([k | (1 << (top + L.w * t))], piv)
+            # the row always joins: its tag lane t is 1 and no pivot is there
+            if piv[-1][0] >= top:
                 break
-            s = (v & -v).bit_length() - 1
-            s -= s % w
-            c = (v >> s) & m
-            piv.append((s, v if c == 1 else scale(v, pow(c, -1, q))))
             k, t = A.apply(k), t + 1
-        chi = chi * Poly.make(field, lanes(q, t + 1).unpack(v >> top))
+        g = Poly.make(field, lanes(q, t + 1).unpack(piv.pop()[1] >> top))
+        chi = chi * g.monic()
         # the run's rows join W; the next run's tags must not pick up theirs
         piv[run:] = [(s, r & ambient) for s, r in piv[run:]]
     return chi

@@ -216,13 +216,6 @@ class Poly:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def evaluate(self, a: int) -> int:
-        q = self.field.q
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % q
-        return acc
-
     def __add__(self, other: "Poly") -> "Poly":
         m = max(len(self.coeffs), len(other.coeffs))
         return Poly.make(
@@ -322,18 +315,6 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.monic(), lead_inv * s0, lead_inv * t0
 
 
-def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e mod `mod` by square and multiply; e >= 0."""
-    result = Poly.make(mod.field, [1])
-    acc = base % mod
-    while e:
-        if e & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
-        e >>= 1
-    return result
-
-
 def _gcd_code(a: int, b: int, L: Lanes) -> int:
     """A gcd (not made monic) of two packed polynomials of at most as many
     coefficients as L has lanes, by Euclid on codes."""
@@ -426,15 +407,6 @@ def is_primitive(f: Poly) -> bool:
     return poly_order(f) == q**f.degree - 1
 
 
-def vector_from_int(code: int, q: int, n: int) -> tuple[int, ...]:
-    """The length-n vector whose integer encoding sum(c_i * q^i) is `code`."""
-    coeffs = []
-    for _ in range(n):
-        coeffs.append(code % q)
-        code //= q
-    return tuple(coeffs)
-
-
 class Lanes:
     """Vectors of F_q^n packed into one int, for the inner loops.
 
@@ -449,7 +421,7 @@ class Lanes:
     def __init__(self, q: int, n: int):
         self.q = q
         self.w = w = 1 if q == 2 else (2 * q - 2).bit_length() + 1
-        self.m = (1 << w) - 1
+        self.m = m = (1 << w) - 1
         self.shifts = tuple(range(0, w * n, w))
         if q == 2:
             self.add = operator.xor
@@ -465,6 +437,34 @@ class Lanes:
                 return s - ((g - (g >> down)) & qs)
 
             self.add = add
+        # a closure, like add: the elimination loop reads q, w, m, add and
+        # scale as cell variables, not attributes
+        add, scale = self.add, self.scale
+
+        def echelon(codes, pivots=()) -> list[tuple[int, int]]:
+            """Forward elimination: the (bit offset of the pivot lane, row)
+            pairs of `pivots`, then one pair for each row of `codes` that is
+            independent of the pairs before it.
+
+            Each row is cleared at each pivot lane in order, then scaled to 1
+            at its lowest nonzero lane, which becomes its pivot. Every pivot
+            row is 0 at the lanes of the pairs before it, so clearing one
+            lane never refills an earlier one."""
+            piv = list(pivots)
+            for v in codes:
+                for s, r in piv:
+                    c = (v >> s) & m
+                    if c:
+                        # subtract c * r, which is adding r when c = q - 1
+                        v = add(v, r if c == q - 1 else scale(r, q - c))
+                if v:
+                    s = (v & -v).bit_length() - 1
+                    s -= s % w
+                    c = (v >> s) & m
+                    piv.append((s, v if c == 1 else scale(v, pow(c, -1, q))))
+            return piv
+
+        self.echelon = echelon
 
     def pack(self, v) -> int:
         """The packed form of a length-n vector, coordinates taken mod q."""
@@ -540,9 +540,9 @@ def monic_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the given degree, ascending integer encoding."""
     if degree < 0:
         return
-    q = field.q
-    for m in range(q**degree):
-        yield Poly(field, vector_from_int(m, q, degree) + (1,))
+    L = lanes(field.q, degree)
+    for m in L.ascending():
+        yield Poly(field, L.unpack(m) + (1,))
 
 
 def irreducible_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
@@ -691,8 +691,8 @@ class FieldCtx(PackedRing):
     A ring element is the packed code of its coefficient vector (ascending
     powers of x, see Lanes), the same int that stands for a row vector of
     F_q^n. The *_code methods take and return codes; mul, inv, cycle_of,
-    x_power, x_log and mul_by_x take and return coefficient tuples of
-    length exactly n. When f(0) != 0, x is a unit and multiplication by x
+    x_power and x_log take and return coefficient tuples of length
+    exactly n. When f(0) != 0, x is a unit and multiplication by x
     permutes the nonzero elements; the context indexes the cycles of that
     permutation on first use. Cycle 0 is <x> itself, so the powers of x,
     their logs and the order of x all come from the same index. For a
@@ -744,12 +744,6 @@ class FieldCtx(PackedRing):
         return f"FieldCtx(GF({self.q})[x]/({self.modulus}))"
 
     # -- ring arithmetic ---------------------------------------------------
-
-    def mul_by_x(self, a) -> tuple[int, ...]:
-        """Multiplication by x on coefficients: the reference mul_by_x_code
-        is tested against."""
-        *low, top = self.lanes.unpack(self.pack(a))
-        return tuple((s + top * r) % self.q for s, r in zip([0] + low, self._xn_row))
 
     def mul(self, a, b) -> tuple[int, ...]:
         return self.lanes.unpack(self.mul_code(self.pack(a), self.pack(b)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analysis import CyclicOrbitCode, analyze, analyze_naive, codeword, make_code
 from .canonical import ElementaryDivisorSpec
@@ -91,16 +91,18 @@ def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Su
     r_rows = list((Mat(q, k, tuple(coeff)) * V.matrix).codes)
     # each error vector is sampled outside V + the errors so far, so the
     # received space has dimension keep+errors and meets V exactly in V'
-    blocked = V
+    echelon = lanes(q, n).echelon
+    blocked = echelon(V.codes)
     for _ in range(errors):
-        if blocked.dim == n:
+        if len(blocked) == n:
             raise DomainError("ambient space exhausted: no room for an error vector")
         while True:
             v = _random_rows(rng, q, 1, n)[0]
-            if blocked.residual_rank([v]):
+            grown = echelon((v,), blocked)
+            if len(grown) > len(blocked):
                 break
         r_rows.append(v)
-        blocked = Subspace.from_packed(q, n, blocked.codes + (v,))
+        blocked = grown
     # no random remix of these rows: the canonical row space returned is
     # the same for every basis of it
     return Subspace.from_packed(q, n, r_rows)
@@ -127,17 +129,8 @@ class SimulationStats:
     agree: int = 0
 
     def merge(self, other: "SimulationStats") -> None:
-        for f in (
-            "trials",
-            "success_exhaustive",
-            "success_lf",
-            "unique_exhaustive",
-            "unique_lf",
-            "examined_exhaustive",
-            "examined_lf",
-            "agree",
-        ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def to_json_dict(self) -> dict:
         t = max(self.trials, 1)

@@ -19,37 +19,19 @@ Row = tuple[int, ...]
 
 
 def _rref_rows(codes, lanes_: Lanes) -> tuple[list[int], tuple[int, ...]]:
-    """Gauss-Jordan on packed rows: the nonzero RREF rows in pivot order,
-    and their pivot columns.
+    """The nonzero RREF rows of packed rows in pivot order, and their pivot
+    columns: two echelon passes.
 
-    Rows enter one at a time. Each is reduced against the pivot rows so
-    far; if anything is left, its lowest lane is a new pivot, which is
-    scaled to 1 and cleared from the earlier rows. That keeps every row's
-    leading lane at its pivot, so the result is the unique RREF.
-    """
-    q, w, m = lanes_.q, lanes_.w, lanes_.m
-    add, scale = lanes_.add, lanes_.scale
-    piv: dict[int, int] = {}  # bit offset of the pivot lane -> row
-    for v in codes:
-        for s, r in piv.items():
-            c = (v >> s) & m
-            if c:
-                # subtract c * r, which is adding r when c = q - 1
-                v = add(v, r if c == q - 1 else scale(r, q - c))
-        if not v:
-            continue
-        s = (v & -v).bit_length() - 1
-        s -= s % w
-        c = (v >> s) & m
-        if c != 1:
-            v = scale(v, pow(c, -1, q))
-        for t, r in piv.items():
-            c = (r >> s) & m
-            if c:
-                piv[t] = add(r, v if c == q - 1 else scale(v, q - c))
-        piv[s] = v
-    order = sorted(piv)
-    return [piv[s] for s in order], tuple(s // w for s in order)
+    After the first pass each row is 1 at its pivot, 0 below it and 0 at
+    the earlier pivots. The second pass takes the rows from the highest
+    pivot down, so it clears each row at every pivot after its own and
+    leaves its pivot and the lanes below alone: the unique RREF."""
+    echelon, w = lanes_.echelon, lanes_.w
+    piv = echelon(codes)
+    piv.sort(reverse=True)
+    piv = echelon([r for _, r in piv])
+    piv.reverse()
+    return [r for _, r in piv], tuple([s // w for s, _ in piv])
 
 
 @dataclass(frozen=True)
@@ -142,10 +124,10 @@ class Mat:
         return Mat(self.q, self.nrows, tuple(cols))
 
     def rank(self) -> int:
-        return len(_rref_rows(self.codes, lanes(self.q, self.ncols))[1])
+        return len(lanes(self.q, self.ncols).echelon(self.codes))
 
     def inverse(self) -> "Mat":
-        """Gauss-Jordan on [A | I], I packed into the high lanes."""
+        """The RREF of [A | I], I packed into the high lanes."""
         n = self.nrows
         if n != self.ncols:
             raise SingularMatrixError("inverse of a non-square matrix")
@@ -156,17 +138,6 @@ class Mat:
         if pivots != tuple(range(n)):
             raise SingularMatrixError("matrix is singular")
         return Mat(self.q, n, tuple([r >> top for r in reduced]))
-
-
-def row_times_mat(v: Row, M: Mat) -> Row:
-    """v M for a coefficient tuple v; Mat.apply on packed rows."""
-    return lanes(M.q, M.ncols).unpack(M.apply(lanes(M.q, M.nrows).pack(v)))
-
-
-def rref(M: Mat) -> tuple[Mat, int]:
-    """Reduced row echelon form (same shape, zero rows at the bottom) and rank."""
-    reduced, pivots = _rref_rows(M.codes, lanes(M.q, M.ncols))
-    return Mat(M.q, M.ncols, tuple(reduced) + (0,) * (M.nrows - len(pivots))), len(pivots)
 
 
 @dataclass(frozen=True)
@@ -225,29 +196,9 @@ class Subspace:
         return tuple(zip([p * w for p in self.pivots], self.codes))
 
     def residual_rank(self, codes) -> int:
-        """dim(self + span(codes)) - dim(self) for packed rows of F_q^n:
-        the rank of what is left of the rows after reducing them against
-        this RREF basis.
-
-        Forward elimination only: each row is cleared at the pivot lanes
-        found so far, in the order they were found, and a row with anything
-        left adds its lowest lane as a pivot. Every pivot row is zero at the
-        pivot lanes before it, so clearing a later lane never refills an
-        earlier one; rows already placed are not reduced further."""
-        L = lanes(self.q, self.n)
-        q, w, m, add, scale = L.q, L.w, L.m, L.add, L.scale
-        piv = list(self._pivot_rows)
-        for v in codes:
-            for s, r in piv:
-                c = (v >> s) & m
-                if c:
-                    v = add(v, r if c == q - 1 else scale(r, q - c))
-            if v:
-                s = (v & -v).bit_length() - 1
-                s -= s % w
-                c = (v >> s) & m
-                piv.append((s, v if c == 1 else scale(v, pow(c, -1, q))))
-        return len(piv) - self.dim
+        """dim(self + span(codes)) - dim(self) for packed rows of F_q^n: how
+        far the rows lengthen the echelon of this RREF basis."""
+        return len(lanes(self.q, self.n).echelon(codes, self._pivot_rows)) - self.dim
 
     def contains(self, v) -> bool:
         if len(v) != self.n:

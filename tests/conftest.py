@@ -37,6 +37,32 @@ def poly_of(q, coeffs):
     return Poly.make(PrimeField(q), coeffs)
 
 
+def pow_mod(base, e, mod):
+    """base^e mod `mod` by square and multiply on Poly; e >= 0."""
+    result = Poly.make(mod.field, [1])
+    acc = base % mod
+    while e:
+        if e & 1:
+            result = (result * acc) % mod
+        acc = (acc * acc) % mod
+        e >>= 1
+    return result
+
+
+def mul_by_x(ctx, a):
+    """x * a mod f on a coefficient tuple of length n, with x^n read off f."""
+    f, q = ctx.modulus, ctx.q
+    *low, top = a
+    return tuple((c - top * f.coeff(i)) % q for i, c in enumerate([0] + low))
+
+
+def row_times_mat(v, M):
+    """v M for a coefficient tuple v, entry by entry."""
+    return tuple(
+        sum(x * row[j] for x, row in zip(v, M.rows)) % M.q for j in range(M.ncols)
+    )
+
+
 def single_block(p):
     return ElementaryDivisorSpec.make(p.field, [(p, 1)])
 

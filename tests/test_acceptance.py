@@ -55,6 +55,7 @@ from conftest import (
     X4_X_1,
     X6_X_1,
     rand_full_rank,
+    row_times_mat,
     single_block,
 )
 
@@ -497,8 +498,6 @@ def _poly_matrix(q, M, coeffs):
 
 
 def _commutation_suite(rng):
-    from orbitcodes.linalg import row_times_mat
-
     ctxs = [field_context(p) for p in (X3_X_1, X4_X_1, X4_NONPRIM, X6_X_1,
                                        Poly.make(P3, (2, 1, 1)))]
     for _ in range(500):

@@ -28,7 +28,7 @@ from orbitcodes import (
     transmit,
 )
 from orbitcodes.fields import lanes
-from orbitcodes.harness import SimulationStats, _better, _random_full_rank_rows
+from orbitcodes.harness import SimulationStats, _better, _random_full_rank_rows, _transmit
 
 from conftest import P2, X4_X_1, X6_X_1, rand_full_rank, single_block
 
@@ -88,6 +88,46 @@ def test_transmit_full_erasure_then_error():
     R = transmit(V, ChannelConfig(erasures=3, errors=1, seed=7))
     assert R.dim == 1
     assert subspace_distance(V, R) == 4
+
+
+# transmit(V, ChannelConfig(erasures, errors, seed)).codes for one spread
+# codeword per q and seeds 7 and 12345, each with the next getrandbits(32)
+# of the stream after it, so the number of draws (rejected error vectors
+# included) is fixed too. (0, 3) over F_2 and F_3 and (0, 2) over F_5 fill
+# the space up to n.
+TRANSMIT_CODEWORDS = {2: ((3, 6), 2), 3: ((3, 6), 1), 5: ((2, 4), 3)}
+TRANSMIT_GOLDEN = {
+    (2, 0, 0): (((35, 4, 56), 3551302831), ((35, 4, 56), 645415300)),
+    (2, 1, 1): (((17, 50, 56), 3551302831), ((51, 20, 40), 636282949)),
+    (2, 2, 2): (((17, 2, 8), 2478638287), ((45, 38, 16), 3170323834)),
+    (2, 3, 1): (((5,), 1570621944), ((45,), 2430986565)),
+    (2, 0, 3): (((1, 2, 4, 8, 16, 32), 3002158228), ((1, 2, 4, 8, 16, 32), 2064918280)),
+    (2, 1, 3): (((33, 2, 36, 8, 48), 3002158228), ((1, 2, 36, 40, 48), 28661629)),
+    (3, 0, 0): (((1179905, 16, 1183744), 2922295636), ((1179905, 16, 1183744), 694443915)),
+    (3, 1, 1): (((2097153, 2228480, 1183744), 922121676), ((2097409, 16, 1114112), 3754550193)),
+    (3, 2, 1): (((2101249, 65792), 2503055453), ((1188353, 8464), 694443915)),
+    (3, 0, 3): (
+        ((1, 16, 256, 4096, 65536, 1048576), 3758686919),
+        ((1, 16, 256, 4096, 65536, 1048576), 2512780184),
+    ),
+    (3, 3, 3): (((1180161, 2162704, 69632), 2390857534), ((65537, 8208, 8448), 2280811246)),
+    (5, 0, 1): (((4097, 32, 32768), 2503055453), ((4097, 32, 32768), 694443915)),
+    (5, 1, 1): (((98305, 1024), 404285457), ((4097, 36896), 2430986565)),
+    (5, 2, 2): (((132097, 66592), 161042648), ((98369, 1024), 1121373020)),
+    (5, 0, 2): (((1, 32, 1024, 32768), 161042648), ((1, 32, 1024, 32768), 1121373020)),
+    (5, 1, 2): (((98305, 32, 1024), 3907149204), ((98305, 131104, 99328), 533722196)),
+}
+
+
+@pytest.mark.parametrize("q,erasures,errors", list(TRANSMIT_GOLDEN))
+def test_transmit_golden(q, erasures, errors):
+    (k, n), index = TRANSMIT_CODEWORDS[q]
+    V = codeword(build_spread(SpreadSpec.make(q, k, n)), index)
+    for seed, (codes, after) in zip((7, 12345), TRANSMIT_GOLDEN[q, erasures, errors]):
+        assert transmit(V, ChannelConfig(erasures, errors, seed)).codes == codes
+        rng = random.Random(seed)
+        _transmit(V, erasures, errors, rng)
+        assert rng.getrandbits(32) == after
 
 
 # -- simulation -------------------------------------------------------------

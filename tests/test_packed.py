@@ -33,10 +33,10 @@ from orbitcodes import (
 )
 from orbitcodes.decoder import lf_set, lf_vector_count
 from orbitcodes.errors import NonUnitError
-from orbitcodes.fields import is_irreducible, lanes, poly_gcd, pow_mod
+from orbitcodes.fields import is_irreducible, lanes, poly_gcd
 from orbitcodes.linalg import intersection_dim
 
-from conftest import poly_of
+from conftest import mul_by_x, poly_of, pow_mod
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -96,10 +96,10 @@ def ref_cycles(q, coeffs):
         if v in place:
             continue
         cycle = [v]
-        w = ctx.mul_by_x(v)
+        w = mul_by_x(ctx, v)
         while w != v:
             cycle.append(w)
-            w = ctx.mul_by_x(w)
+            w = mul_by_x(ctx, w)
         for pos, w in enumerate(cycle):
             place[w] = (len(firsts), pos, len(cycle))
         firsts.append(v)
@@ -208,6 +208,18 @@ def test_from_rows_matches_tuple_rref(case):
     S = Subspace.from_rows(q, n, rows)
     assert (S.rows, S.pivots) == ref_rref(rows, q)
     assert S.dim == len(S.pivots)
+    # the echelon under it: each row is 1 at its own pivot lane, 0 below it
+    # and 0 at the lanes of the pairs before it
+    L = lanes(q, n)
+    codes = [L.pack(r) for r in rows]
+    piv = L.echelon(codes)
+    assert len(piv) == len(ref_rref(rows, q)[1])
+    for i, (s, r) in enumerate(piv):
+        assert (r >> s) & L.m == 1 and not r & ((1 << s) - 1)
+        assert all(not (r >> t) & L.m for t, _ in piv[:i])
+    # extending an echelon by more rows is the echelon of all of them
+    for cut in range(len(codes) + 1):
+        assert len(L.echelon(codes[cut:], L.echelon(codes[:cut]))) == len(piv)
 
 
 @SETTINGS
@@ -240,7 +252,7 @@ def test_cycle_of_matches_tuple_walk(case):
     cid, pos, length = place[v]
     code = ctx.pack(v)
     assert ctx.lanes.unpack(ctx.mul_x_power_code(code, length - pos)) == firsts[cid]
-    assert ctx.lanes.unpack(ctx.mul_x_power_code(code, 1)) == ctx.mul_by_x(v)
+    assert ctx.lanes.unpack(ctx.mul_x_power_code(code, 1)) == mul_by_x(ctx, v)
 
 
 @SETTINGS
@@ -266,7 +278,7 @@ def test_large_prime_allocates_nothing_of_size_q():
         ctx = FieldCtx(poly_of(q, [q - 4, 1]))  # x = 4, a square: not primitive
         assert not ctx.is_primitive
         L = ctx.lanes
-        assert L.unpack(ctx.mul_by_x_code(L.pack((q - 1,)))) == ctx.mul_by_x((q - 1,)) == (q - 4,)
+        assert L.unpack(ctx.mul_by_x_code(L.pack((q - 1,)))) == mul_by_x(ctx, (q - 1,)) == (q - 4,)
         rng = random.Random(3)
         U, V = (
             Subspace.from_rows(q, 8, [[rng.randrange(q) for _ in range(8)] for _ in range(4)])
