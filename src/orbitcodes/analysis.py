@@ -106,7 +106,7 @@ def _regime(spec: ElementaryDivisorSpec) -> str:
 
 def make_code(spec: ElementaryDivisorSpec, start_rows) -> CyclicOrbitCode:
     """Orbit code from elementary-divisor data and start subspace rows."""
-    gen = build_generator(spec, require_invertible=True)
+    gen = build_generator(spec)
     if isinstance(start_rows, Subspace):
         start = start_rows
         if start.n != spec.n or start.q != spec.field.q:
@@ -138,25 +138,17 @@ def general_code(generator: Mat, start: Subspace) -> CyclicOrbitCode:
 
 
 @lru_cache(maxsize=128)
-def _block_contexts(spec: ElementaryDivisorSpec) -> tuple[tuple[int, int, FieldCtx], ...]:
-    """(offset, width, context of F_q[x]/(p^e)) per block."""
-    out = []
-    offset = 0
-    for p, e in spec.blocks:
-        g = poly_pow(p, e)
-        ctx = field_context(g)
-        out.append((offset, g.degree, ctx))
-        offset += g.degree
-    return tuple(out)
-
-
-@lru_cache(maxsize=128)
 def _packed_blocks(spec: ElementaryDivisorSpec) -> tuple[tuple[int, int, FieldCtx], ...]:
-    """(bit offset, bit mask, context) of each block of a packed vector."""
+    """(bit offset, bit mask, context of F_q[x]/(p^e)) of each block of a
+    packed vector."""
     w = lanes(spec.field.q, spec.n).w
-    return tuple(
-        (off * w, (1 << (width * w)) - 1, ctx) for off, width, ctx in _block_contexts(spec)
-    )
+    out = []
+    s = 0
+    for p, e in spec.blocks:
+        ctx = field_context(poly_pow(p, e))
+        out.append((s, (1 << (ctx.n * w)) - 1, ctx))
+        s += ctx.n * w
+    return tuple(out)
 
 
 def _make_stepper(code: CyclicOrbitCode):
@@ -456,124 +448,60 @@ class BoundsReport:
     window: tuple[int, int]
 
 
-def _row_period(ctx: FieldCtx, v: tuple[int, ...]) -> int:
-    return ctx.cycle_of(v)[2] if any(v) else 1
-
-
-def block_bounds(
-    code: CyclicOrbitCode, component_params: list[CodeParams] | None = None
-) -> BoundsReport:
+def block_bounds(code: CyclicOrbitCode) -> BoundsReport:
     """Bounds from per-block component codes.
 
-    The start must be block-diagonal (then cardinality is exactly the lcm
-    of component cardinalities and the distance bounds of the diagonal
-    case apply) or a full-rank concatenation (distance >= min component
-    distance). Single-block codes collapse to their own parameters.
+    Component i is the orbit code, under block i alone, of the nonzero
+    slices the start rows have in block i; a block with none is the
+    invariant zero component, of cardinality 1 and no distance. The start
+    must be block-diagonal (each row lives in one block) or a full-rank
+    concatenation (every slice has rank k), unless there is one block. The
+    cardinality is a multiple of the lcm of the component cardinalities,
+    and equals it except for a concatenation, and divides the lcm of the
+    slice periods; the distance is at least the least component distance.
     """
     spec = code.block_structure
     if spec is None:
         raise ShapeMismatchError("block bounds need a block-structured generator")
-    blocks = _block_contexts(spec)
-    t = len(blocks)
-    k = code.k
-    rows = code.start.rows
-
-    slices = [
-        [r[off : off + width] for r in rows] for off, width, _ in blocks
-    ]
-    if t == 1:
-        own = (
-            CodeParams(component_params[0].cardinality, component_params[0].min_distance)
-            if component_params
-            else analyze(code)
-        )
-        s = math.lcm(*(_row_period(blocks[0][2], r) for r in rows))
-        return BoundsReport(
-            shape="single",
-            component_params=(own,),
-            cardinality=own.cardinality,
-            distance_lower=own.min_distance,
-            distance_exact=own.min_distance,
-            sum_bound=None,
-            window=(own.cardinality, s),
-        )
-
-    row_blocks = []
-    for r in rows:
-        live = [i for i, (off, width, _) in enumerate(blocks) if any(r[off : off + width])]
-        row_blocks.append(live)
-    diag = all(len(live) == 1 for live in row_blocks)
-    concat = all(
-        Subspace.from_rows(code.q, blocks[i][1], sl).dim == k
-        for i, sl in enumerate(slices)
-    )
-
-    def component_code(i: int, comp_rows) -> CyclicOrbitCode:
-        sub_spec = ElementaryDivisorSpec(spec.field, (spec.blocks[i],))
-        return make_code(sub_spec, comp_rows)
-
-    if diag:
-        comp_rows_per_block: list[list] = [[] for _ in range(t)]
-        for r, live in zip(rows, row_blocks):
-            i = live[0]
-            off, width, _ = blocks[i]
-            comp_rows_per_block[i].append(r[off : off + width])
-        if component_params is None:
-            # a block that receives no start rows is the invariant zero
-            # component: cardinality 1, distance undefined
-            component_params = [
-                analyze(component_code(i, cr)) if cr else CodeParams(1, None)
-                for i, cr in enumerate(comp_rows_per_block)
-            ]
-        cards = [p.cardinality for p in component_params]
-        card = math.lcm(*cards)
-        ds = [p.min_distance for p in component_params if p.min_distance is not None]
-        lower = min(ds) if ds else None
-        pairwise_coprime = all(
-            math.gcd(cards[i], cards[j]) == 1
-            for i in range(t)
-            for j in range(i + 1, t)
-        )
-        exact = lower if pairwise_coprime else None
-        J = {i for i in range(t) if cards[i] == card}
-        sum_bound = None
-        if J:
-            sum_bound = sum(
-                component_params[j].min_distance or 0 for j in range(t) if j not in J
-            )
+    blocks = _packed_blocks(spec)
+    slices = [[(v >> s) & mask for v in code.start.codes] for s, mask, _ in blocks]
+    if len(blocks) == 1:
+        shape = "single"
+    elif all(sum(map(bool, parts)) == 1 for parts in zip(*slices)):
         shape = "diag"
-    elif concat:
-        if component_params is None:
-            component_params = [analyze(component_code(i, slices[i])) for i in range(t)]
-        card = None
-        ds = [p.min_distance for p in component_params if p.min_distance is not None]
-        lower = min(ds) if ds else None
-        exact = None
-        sum_bound = None
+    elif all(len(ctx.lanes.echelon(sl)) == code.k for sl, (_, _, ctx) in zip(slices, blocks)):
         shape = "concat"
     else:
-        raise ShapeMismatchError(
-            "start is neither block-diagonal nor a full-rank concatenation"
+        raise ShapeMismatchError("start is neither block-diagonal nor a full-rank concatenation")
+    live = [[v for v in sl if v] for sl in slices]
+    comps = tuple(
+        analyze(
+            make_code(
+                ElementaryDivisorSpec(spec.field, (block,)),
+                Subspace.from_packed(code.q, ctx.n, vs),
+            )
         )
-
-    r_lcm = math.lcm(*(p.cardinality for p in component_params))
-    s_lcm = math.lcm(
-        *(
-            _row_period(ctx, sl_row)
-            for (off, width, ctx), sl in zip(blocks, slices)
-            for sl_row in sl
-        )
+        if vs
+        else CodeParams(1, None)
+        for block, (_, _, ctx), vs in zip(spec.blocks, blocks, live)
     )
+    cards = [c.cardinality for c in comps]
+    lo = math.lcm(*cards)
+    lower = min((c.min_distance for c in comps if c.min_distance is not None), default=None)
+    coprime = all(math.gcd(a, b) == 1 for a, b in combinations(cards, 2))
+    sum_bound = None
+    if shape == "diag" and lo in cards:
+        # the components short of the lcm, each at its own distance
+        sum_bound = sum(c.min_distance or 0 for c in comps if c.cardinality != lo)
+    hi = math.lcm(*(ctx.cycle_of_code(v)[2] for vs, (_, _, ctx) in zip(live, blocks) for v in vs))
     return BoundsReport(
         shape=shape,
-        component_params=tuple(
-            CodeParams(p.cardinality, p.min_distance) for p in component_params
-        ),
-        cardinality=card,
+        component_params=comps,
+        cardinality=None if shape == "concat" else lo,
         distance_lower=lower,
-        distance_exact=exact,
+        distance_exact=lower if shape != "concat" and coprime else None,
         sum_bound=sum_bound,
-        window=(r_lcm, s_lcm),
+        window=(lo, hi),
     )
 
 

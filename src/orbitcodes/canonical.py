@@ -15,16 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InternalInvariantError, SingularMatrixError
-from .fields import (
-    Poly,
-    PrimeField,
-    factor_poly,
-    factorize,
-    is_irreducible,
-    lanes,
-    poly_order,
-    power_order,
-)
+from .fields import Poly, PrimeField, factor_poly, is_irreducible, lanes, power_order
 from .linalg import Mat, companion_matrix
 
 # Classification relies on exhaustive factor search; keep inputs desk-sized.
@@ -73,21 +64,18 @@ class ElementaryDivisorSpec:
     def block_degrees(self) -> tuple[int, ...]:
         return tuple(p.degree * e for p, e in self.blocks)
 
-    def block_order(self, i: int) -> int:
-        """ord(p^e) = ord(p) * q^ceil(log_q e)."""
-        return power_order(*self.blocks[i])
-
     def generator_order(self) -> int:
-        return math.lcm(*(self.block_order(i) for i in range(len(self.blocks))))
+        """lcm over the blocks of ord(p^e) = ord(p) * q^ceil(log_q e)."""
+        return math.lcm(*(power_order(p, e) for p, e in self.blocks))
 
 
 @lru_cache(maxsize=128)
-def build_generator(spec: ElementaryDivisorSpec, require_invertible: bool = True) -> Mat:
+def build_generator(spec: ElementaryDivisorSpec) -> Mat:
     """Block-diagonal matrix of companion blocks, one per (p, e) with poly p^e.
     Cached per spec: search and the oracle re-check build the same one."""
     q = spec.field.q
     n = spec.n
-    if require_invertible and any(p.coeff(0) == 0 for p, _ in spec.blocks):
+    if any(p.coeff(0) == 0 for p, _ in spec.blocks):
         raise SingularMatrixError(
             "generator is singular: a block polynomial has p(0) = 0"
         )
@@ -154,26 +142,15 @@ def char_poly(A: Mat) -> Poly:
 
 
 def matrix_order(M: Mat) -> int:
-    """Least t >= 1 with M^t = I.
-
-    The minimal polynomial of M divides chi(M), so the order divides
-    poly_order(chi); each prime is stripped from that multiple while the
-    reduced power is still I.
-    """
+    """Least t >= 1 with M^t = I: the order of x modulo the minimal
+    polynomial prod p^e, e the largest part of p's partition, which is the
+    lcm of the orders in M's type."""
     n = M.nrows
     if n != M.ncols:
         raise SingularMatrixError("order of a non-square matrix")
-    chi = char_poly(M)
-    if chi.coeff(0) == 0:
+    if M.rank() != n:
         raise SingularMatrixError("a singular matrix has no multiplicative order")
-    m = poly_order(chi)
-    ident = Mat.identity(M.q, n)
-    if M**m != ident:
-        raise InternalInvariantError(f"M^{m} is not I though chi(x) divides x^{m} - 1")
-    for r in factorize(m):
-        while m % r == 0 and M ** (m // r) == ident:
-            m //= r
-    return m
+    return math.lcm(*(order for order, _, _ in _primary_parts(M)))
 
 
 def _evaluate_at_matrix(p: Poly, A: Mat) -> Mat:
@@ -185,17 +162,12 @@ def _evaluate_at_matrix(p: Poly, A: Mat) -> Mat:
     return Mat(A.q, A.ncols, tuple(codes))
 
 
-def matrix_type(A: Mat) -> MatrixType:
-    """Recover (partitions, orders) from the kernel-dimension sequences
-    dim ker p(A)^j of each irreducible factor p of the characteristic
-    polynomial."""
+def _primary_parts(A: Mat) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(order, degree, partition) per irreducible factor p of the
+    characteristic polynomial of a square invertible A. The partition comes
+    from the kernel dimensions dim ker p(A)^j; the order is ord(p^e), e its
+    largest part, the order of A on the p-primary component."""
     n = A.nrows
-    if n != A.ncols:
-        raise DomainError("matrix type of a non-square matrix")
-    if n > MAX_CLASSIFY_DIM:
-        raise DomainError(f"classification limited to n <= {MAX_CLASSIFY_DIM}")
-    if A.rank() != n:
-        raise SingularMatrixError("matrix type needs an invertible matrix")
     records = []
     for p, mult in factor_poly(char_poly(A)):
         deg = p.degree
@@ -223,10 +195,22 @@ def matrix_type(A: Mat) -> MatrixType:
         partition = tuple(sorted(parts, reverse=True))
         if sum(partition) != mult:
             raise InternalInvariantError("partition does not sum to the multiplicity")
-        # order on the p-primary component: ord(p) lifted by the char power
-        # needed to kill the largest nilpotent part
         records.append((power_order(p, partition[0]), deg, partition))
-    records.sort()
+    return records
+
+
+def matrix_type(A: Mat) -> MatrixType:
+    """Recover (partitions, orders) from the kernel-dimension sequences
+    dim ker p(A)^j of each irreducible factor p of the characteristic
+    polynomial."""
+    n = A.nrows
+    if n != A.ncols:
+        raise DomainError("matrix type of a non-square matrix")
+    if n > MAX_CLASSIFY_DIM:
+        raise DomainError(f"classification limited to n <= {MAX_CLASSIFY_DIM}")
+    if A.rank() != n:
+        raise SingularMatrixError("matrix type needs an invertible matrix")
+    records = sorted(_primary_parts(A))
     return MatrixType(
         partitions=tuple(r[2] for r in records),
         orders=tuple(r[0] for r in records),

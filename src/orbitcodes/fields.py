@@ -56,13 +56,27 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+# Most squarings _rho may take on one number: about a second. A product of
+# two primes near 2^60 would need about 2^30; 2^62 - 1 needs under 2^16.
+RHO_STEP_LIMIT = 2**20
+
+
 def _rho(m: int) -> int:
     """A proper factor of an odd composite m with no factor below 1024:
     Pollard's rho in Brent's form (Brent 1980), gcds batched over 128 steps.
-    Deterministic: the polynomials y^2 + c are tried for c = 1, 2, ..."""
+    Deterministic: the polynomials y^2 + c are tried for c = 1, 2, ...
+    A round that would pass RHO_STEP_LIMIT squarings raises DomainError."""
+    steps = 0
     for c in itertools.count(1):
         y, r, g, acc = 2, 1, 1, 1
         while g == 1:
+            # a round takes r squarings to advance and at most r to batch
+            steps += 2 * r
+            if steps > RHO_STEP_LIMIT:
+                raise DomainError(
+                    f"cannot factorize {m}: Pollard's rho found no factor within "
+                    f"the limit of {RHO_STEP_LIMIT} squarings"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % m

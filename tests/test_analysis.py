@@ -5,8 +5,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcodes import (
+    BoundsReport,
     CodeParams,
     DomainError,
     ElementaryDivisorSpec,
@@ -334,9 +337,17 @@ def _two_block_code(rows):
     return make_code(spec, rows)
 
 
+def _report(shape, components, card, lower, exact, sum_bound, window):
+    """A BoundsReport with (cardinality, min_distance) pairs as components."""
+    comps = tuple(CodeParams(c, d) for c, d in components)
+    return BoundsReport(shape, comps, card, lower, exact, sum_bound, window)
+
+
+U1 = [(1, 0, 0, 0), (0, 1, 1, 0)]
+U2 = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 1, 1, 1)]
+
+
 def test_block_bounds_diag_golden():
-    U1 = [(1, 0, 0, 0), (0, 1, 1, 0)]
-    U2 = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 1, 1, 1)]
     code = _two_block_code([r + (0,) * 6 for r in U1] + [(0,) * 4 + r for r in U2])
     rep = block_bounds(code)
     assert rep.shape == "diag"
@@ -346,6 +357,8 @@ def test_block_bounds_diag_golden():
     assert rep.distance_lower == 4
     assert rep.distance_exact == 4  # gcd(5, 21) = 1
     assert rep.window[0] == 105 and rep.window[1] % 105 == 0
+    # no component attains the lcm 105, so there is no sum bound
+    assert rep == _report("diag", [(5, 4), (21, 4)], 105, 4, 4, None, (105, 315))
 
 
 def test_block_bounds_diag_sum_bound():
@@ -357,11 +370,10 @@ def test_block_bounds_diag_sum_bound():
     assert rep.cardinality == 3
     assert rep.sum_bound is not None
     assert analyze(code, method="naive").min_distance >= rep.distance_lower
+    assert rep == _report("diag", [(3, 2), (3, 2)], 3, 2, None, 0, (3, 3))
 
 
 def test_block_bounds_concat_golden():
-    U1 = [(1, 0, 0, 0), (0, 1, 1, 0)]
-    U2 = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 1, 1, 1)]
     code = _two_block_code([a + b for a, b in zip(U1, U2)])
     rep = block_bounds(code)
     assert rep.shape == "concat"
@@ -371,6 +383,7 @@ def test_block_bounds_concat_golden():
     assert lo == 105 and hi == 315
     card = analyze(code, method="fast").cardinality
     assert lo <= card <= hi and hi % card == 0 and card % lo == 0
+    assert rep == _report("concat", [(5, 4), (21, 4)], None, 4, None, None, (105, 315))
 
 
 def test_block_bounds_zero_component():
@@ -380,6 +393,7 @@ def test_block_bounds_zero_component():
     assert rep.shape == "diag"
     assert [p.cardinality for p in rep.component_params] == [5, 1]
     assert rep.cardinality == 5
+    assert rep == _report("diag", [(5, 4), (1, None)], 5, 4, 4, 0, (5, 15))
 
 
 def test_block_bounds_mixed_start_rejected():
@@ -387,15 +401,125 @@ def test_block_bounds_mixed_start_rejected():
     code = _two_block_code(
         [(1, 0, 0, 0, 1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0, 0)]
     )
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(
+        ShapeMismatchError, match="^start is neither block-diagonal nor a full-rank concatenation$"
+    ):
         block_bounds(code)
+    bare = general_code(code.generator, code.start)
+    with pytest.raises(
+        ShapeMismatchError, match="^block bounds need a block-structured generator$"
+    ):
+        block_bounds(bare)
 
 
 def test_block_bounds_single_block_collapse():
-    code = make_code(single_block(X4_X_1), [(1, 0, 0, 0), (0, 1, 1, 0)])
+    code = make_code(single_block(X4_X_1), U1)
     rep = block_bounds(code)
     assert rep.cardinality == 5
     assert rep.distance_exact == 4
+    assert rep == _report("single", [(5, 4)], 5, 4, 4, None, (5, 15))
+
+
+X1_F3 = poly_of(3, [1, 1])  # x + 1 over F_3, order 2
+Q3_P2 = [(X2_X_2_F3, 1), (X1_F3, 2)]
+THREE = [(X2_X_1, 1), (X3_X_1, 1), (X4_NONPRIM, 1)]
+
+
+@pytest.mark.parametrize(
+    "blocks,rows,report",
+    [
+        # q = 3 with a p^2 block; the concat start's cardinality 24 is 2 lo
+        pytest.param(
+            Q3_P2, [(1, 0, 0, 0), (0, 0, 1, 0)],
+            ("diag", [(4, 2), (3, 2)], 12, 2, 2, None, (12, 24)), id="q3_p2_diag",
+        ),
+        pytest.param(
+            Q3_P2, [(1, 2, 0, 1)],
+            ("concat", [(4, 2), (3, 2)], None, 2, None, None, (12, 24)), id="q3_p2_concat",
+        ),
+        pytest.param(
+            THREE,
+            [(1, 0) + (0,) * 7, (0, 0, 1) + (0,) * 6, (0,) * 5 + (1, 0, 0, 0), (0,) * 6 + (1, 1, 0)],
+            ("diag", [(3, 2), (7, 2), (5, 2)], 105, 2, 2, None, (105, 105)), id="three_diag",
+        ),
+        pytest.param(
+            THREE, [(1, 0, 1, 0, 0, 1, 0, 0, 0)],
+            ("concat", [(3, 2), (7, 2), (5, 2)], None, 2, None, None, (105, 105)),
+            id="three_concat",
+        ),
+        # the second component attains the lcm 21; the sum is the first's distance
+        pytest.param(
+            [(X2_X_1, 1), (X6_X_1, 1)], [(1, 0) + (0,) * 6] + [(0, 0) + r for r in U2],
+            ("diag", [(3, 2), (21, 4)], 21, 2, None, 2, (21, 63)), id="diag_some_attain",
+        ),
+        # components of cardinalities 5 and 5
+        pytest.param(
+            [(X4_X_1, 1), (X4_NONPRIM, 1)], [(1, 0, 0, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0, 1, 0)],
+            ("concat", [(5, 4), (5, 2)], None, 2, None, None, (5, 15)), id="concat_not_coprime",
+        ),
+        pytest.param(
+            [(X3_X_1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            ("single", [(1, None)], 1, None, None, None, (1, 7)), id="single_k_eq_n",
+        ),
+    ],
+)
+def test_block_bounds_report(blocks, rows, report):
+    code = make_code(ElementaryDivisorSpec.make(blocks[0][0].field, blocks), rows)
+    assert block_bounds(code) == _report(*report)
+
+
+# (block, exponent) pools for random multi-block codes, widths 1 to 4
+BLOCK_POOL = {
+    2: [(poly_of(2, [1, 1]), 2), (X2_X_1, 1), (X3_X_1, 1), (X4_NONPRIM, 1), (X2_X_1, 2)],
+    3: [(X1_F3, 1), (poly_of(3, [2, 1]), 1), (X2_1_F3, 1), (X2_X_2_F3, 1), (X1_F3, 2)],
+}
+
+
+@st.composite
+def multi_block_codes(draw):
+    """(shape, code): 2-3 blocks from the pool (n <= 12 for q = 2, n <= 6
+    for q = 3) and a random block-diagonal or full-rank concatenated start."""
+    q = draw(st.sampled_from([2, 3]))
+    blocks = draw(st.lists(st.sampled_from(BLOCK_POOL[q]), min_size=2, max_size=3))
+    shape = draw(st.sampled_from(["diag", "concat"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    widths = [p.degree * e for p, e in blocks]
+    if shape == "diag":
+        while True:
+            ks = [rng.randrange(min(w, 2) + 1) for w in widths]
+            if any(ks):
+                break
+        rows = []
+        for i, (k, w) in enumerate(zip(ks, widths)):
+            if k:
+                before, after = sum(widths[:i]), sum(widths[i + 1 :])
+                U = rand_full_rank(rng, q, k, w)
+                rows += [(0,) * before + r + (0,) * after for r in U.rows]
+    else:
+        k = rng.randrange(1, min(widths) + 1)
+        slices = [rand_full_rank(rng, q, k, w).rows for w in widths]
+        rows = [sum(parts, ()) for parts in zip(*slices)]
+    spec = ElementaryDivisorSpec.make(PrimeField(q), blocks)
+    return shape, make_code(spec, rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(multi_block_codes())
+def test_block_bounds_theorems(case):
+    shape, code = case
+    rep = block_bounds(code)
+    assert rep.shape == shape
+    params = analyze(code)
+    lo, hi = rep.window
+    assert params.cardinality % lo == 0 and hi % params.cardinality == 0
+    if shape == "diag":
+        assert rep.cardinality == params.cardinality
+        if params.min_distance is None:
+            assert rep.distance_lower is None
+        else:
+            assert rep.distance_lower <= params.min_distance
+        if rep.distance_exact is not None:
+            assert rep.distance_exact == params.min_distance
 
 
 # -- duality ----------------------------------------------------------------

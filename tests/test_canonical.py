@@ -228,7 +228,6 @@ def test_build_generator_rejects_singular():
     spec = ElementaryDivisorSpec.make(P2, [(poly_of(2, [0, 1]), 1)])  # p = x
     with pytest.raises(SingularMatrixError):
         build_generator(spec)
-    assert build_generator(spec, require_invertible=False).rows[0][0] == 0
 
 
 @pytest.mark.parametrize(
@@ -255,18 +254,31 @@ def test_generator_order_matches_matrix_order(blocks, order):
 
 
 def _primes_dividing(m):
-    return [r for r in range(2, m + 1) if m % r == 0 and all(r % s for s in range(2, r))]
+    """The primes of m by trial division."""
+    out, r = [], 2
+    while r * r <= m:
+        if m % r == 0:
+            out.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    return out + [m] * (m > 1)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+def rand_invertible(rng, q, n):
+    while True:
+        M = rand_square(rng, q, n)
+        if M.rank() == n:
+            return M
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_matrix_order_of_random_invertible_matrices(q):
+    # the least t with M^t = I, checked by matrix powers
     rng = random.Random(SEED + 7 * q)
     for _ in range(12):
-        n = rng.randrange(1, 7)
-        while True:
-            M = Mat.make(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
-            if M.rank() == n:
-                break
+        n = rng.randrange(1, 11)
+        M = rand_invertible(rng, q, n)
         o = matrix_order(M)
         I = Mat.identity(q, n)
         assert M**o == I
@@ -274,9 +286,40 @@ def test_matrix_order_of_random_invertible_matrices(q):
             assert M ** (o // r) != I
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(X2_X_1, 1), (X2_X_1, 2)],
+        [(poly_of(2, [1, 1]), 1), (poly_of(2, [1, 1]), 3), (X3_X_1, 1)],
+        [(X3_X_1, 2), (X3_X_1, 1), (X2_X_1, 1)],
+        [(poly_of(3, [1, 1]), 2), (poly_of(3, [1, 1]), 2), (poly_of(3, [1, 0, 1]), 1)],
+        [(poly_of(5, [2, 1]), 1), (poly_of(5, [2, 1]), 5), (poly_of(5, [2, 0, 1]), 1)],
+    ],
+)
+def test_matrix_order_of_conjugated_block_generators(blocks):
+    # repeated factors with several exponents, hidden by a change of basis
+    spec = ElementaryDivisorSpec.make(blocks[0][0].field, blocks)
+    B = build_generator(spec)
+    rng = random.Random(SEED + spec.n)
+    for _ in range(3):
+        S = rand_invertible(rng, spec.field.q, spec.n)
+        assert matrix_order(S.inverse() * B * S) == spec.generator_order()
+
+
+def test_matrix_order_of_a_degree_100_companion_is_fast():
+    # x^100 + x^37 + 1 is primitive over F_2: the order is 2^100 - 1
+    p = poly_of(2, [1] + [0] * 36 + [1] + [0] * 62 + [1])
+    t0 = time.perf_counter()
+    order = matrix_order(companion_matrix(p))
+    assert time.perf_counter() - t0 < 1.0
+    assert order == 2**100 - 1 and is_irreducible(p)
+
+
 def test_matrix_order_rejects_singular():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="^a singular matrix has no multiplicative order"):
         matrix_order(Mat.make(2, [[1, 1], [1, 1]]))
+    with pytest.raises(SingularMatrixError, match="^order of a non-square matrix$"):
+        matrix_order(Mat.make(2, [[1, 0, 0], [0, 1, 0]]))
 
 
 # -- matrix types -----------------------------------------------------------

@@ -18,6 +18,7 @@ from orbitcodes import (
     make_code,
 )
 from orbitcodes.cli import main
+from orbitcodes.fields import RHO_STEP_LIMIT
 
 from conftest import X4_X_1, X6_X_1, single_block
 
@@ -198,6 +199,17 @@ def test_oversized_field_refused_at_the_index_limit(capsys, argv, degree):
     rc, out, err = run(capsys, argv)
     assert rc == 1 and out == ""
     assert f"(q=2, degree {degree})" in err and "limit of 4194304" in err
+
+
+def test_huge_q_refused_at_the_rho_step_limit(capsys, tmp_path):
+    # q - 1 = 2 p1 p2 with primes p1, p2 near 10^18: the field context's
+    # order test would factor it for ~10^9 rho steps
+    spec = {"q": 2000000000000000068000000000000000187, "blocks": [{"poly": "1 1"}], "start": ["1"]}
+    path = tmp_path / "huge_q.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, ["analyze", "--code", str(path)])
+    assert rc == 1 and out == ""
+    assert f"limit of {RHO_STEP_LIMIT} squarings" in err
 
 
 def test_python_dash_m_runs_the_cli(capsys):

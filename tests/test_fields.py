@@ -24,6 +24,7 @@ from orbitcodes import (
     poly_order,
 )
 from orbitcodes.fields import (
+    RHO_STEP_LIMIT,
     factorize,
     irreducible_polys,
     monic_polys,
@@ -76,6 +77,13 @@ def test_factorize_large_primes():
     assert factorize(2**62 - 1) == {3: 1, 715827883: 1, 2147483647: 1}
     assert factorize(2**67 - 1) == {193707721: 1, 761838257287: 1}
     assert factorize(1000003**2) == {1000003: 2}
+
+
+def test_factorize_gives_up_past_the_rho_step_limit():
+    # two primes near 2^60: rho would need about 2^30 squarings
+    m = 1152921504606847009 * 1152921504606847067
+    with pytest.raises(DomainError, match=f"cannot factorize {m}: .* limit of {RHO_STEP_LIMIT} "):
+        factorize(m)
 
 
 def test_factorize_round_trips():
