@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
 from .canonical import ElementaryDivisorSpec, build_generator, matrix_order, poly_pow
@@ -63,14 +63,12 @@ class CyclicOrbitCode:
 
     block_structure describes M as diagonal companion blocks when known;
     the fast analyzer and O(n)-per-row orbit stepping need it. A code
-    built from a bare matrix has block_structure None and regime
-    "general"; the regime label only names the block shape.
+    built from a bare matrix has block_structure None.
     """
 
     generator: Mat
     start: Subspace
     block_structure: ElementaryDivisorSpec | None
-    regime: str
 
     @property
     def q(self) -> int:
@@ -88,6 +86,12 @@ class CyclicOrbitCode:
         if self.block_structure is not None:
             return self.block_structure.generator_order()
         return matrix_order(self.generator)
+
+    @cached_property
+    def regime(self) -> str:
+        """The label of the block shape, "general" for a bare matrix; read
+        lazily, since telling "primitive" from "irreducible" factors q^n - 1."""
+        return "general" if self.block_structure is None else _regime(self.block_structure)
 
 
 def _regime(spec: ElementaryDivisorSpec) -> str:
@@ -118,7 +122,7 @@ def make_code(spec: ElementaryDivisorSpec, start_rows) -> CyclicOrbitCode:
             raise DomainError("start rows must be linearly independent")
     if start.dim < 1:
         raise DomainError("start subspace must have dimension >= 1")
-    return CyclicOrbitCode(gen, start, spec, _regime(spec))
+    return CyclicOrbitCode(gen, start, spec)
 
 
 def general_code(generator: Mat, start: Subspace) -> CyclicOrbitCode:
@@ -131,7 +135,7 @@ def general_code(generator: Mat, start: Subspace) -> CyclicOrbitCode:
         raise DomainError("start subspace must have dimension >= 1")
     if generator.rank() != generator.nrows:
         raise DomainError("generator must be invertible")
-    return CyclicOrbitCode(generator, start, None, "general")
+    return CyclicOrbitCode(generator, start, None)
 
 
 # -- orbit stepping ---------------------------------------------------------
@@ -235,7 +239,7 @@ def analyze_naive(code: CyclicOrbitCode) -> CodeParams:
 # -- the fast analyzer -------------------------------------------------------
 
 
-def _place(v: int, blocks) -> tuple[tuple, int, int]:
+def _place(blocks, v: int) -> tuple[tuple, int, int]:
     """(M-cycle key, position P, cycle length L) of a nonzero packed vector v.
 
     Per live block, v's part has a cycle id, a position e and a length m,
@@ -284,7 +288,7 @@ def _scalar_shift(spec: ElementaryDivisorSpec) -> int | None:
     zeta = primitive_root(q)
     try:
         # the constant zeta in every block: zeta in the first lane of each
-        key, sigma, _ = _place(sum(zeta << s for s, _, _ in blocks), blocks)
+        key, sigma, _ = _place(blocks, sum(zeta << s for s, _, _ in blocks))
     except DomainError:
         # a block too large to index: the general route indexes only the
         # blocks a start lives in
@@ -293,16 +297,23 @@ def _scalar_shift(spec: ElementaryDivisorSpec) -> int | None:
 
 
 @lru_cache(maxsize=128)
-def _placement(spec: ElementaryDivisorSpec) -> tuple[tuple, int | None]:
-    """The blocks _place reads, (bit offset, bit mask, cycle_of_code) per
-    block, and _scalar_shift(spec): everything _analyze_blocks needs of the
-    spec behind one cache lookup."""
+def _placement(spec: ElementaryDivisorSpec):
+    """The placer, v -> (M-cycle key, position P, cycle length L) for a
+    nonzero packed v, and _scalar_shift(spec): everything analyze_packed
+    needs of the spec behind one cache lookup. With one block the M-cycles
+    are the block's own cycles, so the placer is its cycle_of_code."""
     blocks = tuple((s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(spec))
-    return blocks, _scalar_shift(spec)
+    # a positional partial: a keyword one builds a dict per call
+    place = blocks[0][2] if len(blocks) == 1 else partial(_place, blocks)
+    return place, _scalar_shift(spec)
 
 
-def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParams:
-    """Exact parameters from count(h) for any block-structured generator.
+def analyze_packed(
+    spec: ElementaryDivisorSpec, codes, with_distribution: bool = False
+) -> CodeParams:
+    """Exact parameters of U<M> for the generator M of `spec`, with U the
+    span of `codes`: linearly independent packed rows of F_q^n (see
+    fields.Lanes), in any basis of U.
 
     Within an M-cycle of length L, vM^h = w for w on the same cycle exactly
     when h = P_w - P_v mod L, so count(h) sums, over the M-cycles, the
@@ -311,21 +322,24 @@ def _analyze_blocks(code: CyclicOrbitCode, with_distribution: bool) -> CodeParam
     exactly when h is a multiple of every period, so the cardinality is
     their lcm.
     """
-    q, k = code.q, code.k
-    blocks, sigma = _placement(code.block_structure)
-    start = code.start
+    q, k = spec.field.q, len(codes)
+    packing = lanes(q, spec.n)
+    if k == spec.n:
+        # the start is the whole space, fixed by every generator
+        return CodeParams(1, None, (1,) + (0,) * k if with_distribution else None)
+    place, sigma = _placement(spec)
     if sigma is None:
         # U's nonzero elements, packed; the zero combination comes first
-        f, vectors = 1, start.element_codes()[1:]
+        f, vectors = 1, packing.span(codes)[1:]
     else:
         # c v = v M^(j sigma) for every scalar c = zeta^j, so the q - 1
         # multiples of v lie on v's M-cycle of length L, L/(q - 1) apart:
         # one vector per 1-dim subspace, its position taken mod L/(q - 1),
         # stands for all of them, and count(h) is q - 1 times its count
-        f, vectors = q - 1, lanes(q, code.n).points(start.codes)
-    groups: dict[tuple, tuple[int, list[int]]] = {}
+        f, vectors = q - 1, packing.points(codes)
+    groups: dict = {}
     for v in vectors:
-        key, P, L = _place(v, blocks)
+        key, P, L = place(v)
         L //= f
         groups.setdefault(key, (L, []))[1].append(P % L)
     cardinality = 1
@@ -414,7 +428,7 @@ def analyze(
         dist = (1,) + (0,) * code.k if with_distribution else None
         return CodeParams(1, None, dist)
     if method != "naive" and code.block_structure is not None:
-        return _analyze_blocks(code, with_distribution)
+        return analyze_packed(code.block_structure, code.start.codes, with_distribution)
     if method == "fast":
         raise DomainError("the fast analyzer needs a block-structured generator, not a bare matrix")
     params = analyze_naive(code)

@@ -12,7 +12,7 @@ import os
 import random
 from dataclasses import dataclass, field, fields
 
-from .analysis import CyclicOrbitCode, analyze, analyze_naive, codeword, make_code
+from .analysis import CyclicOrbitCode, analyze, analyze_naive, analyze_packed, codeword, make_code
 from .canonical import ElementaryDivisorSpec
 from .decoder import decode_exhaustive, decode_lf
 from .errors import DomainError, InternalInvariantError
@@ -68,16 +68,14 @@ def _random_rows(rng: random.Random, q: int, rows: int, cols: int) -> list[int]:
     return out
 
 
-def _random_full_rank_rows(
-    rng: random.Random, q: int, rows: int, cols: int
-) -> tuple[list[int], Subspace]:
+def _random_full_rank_rows(rng: random.Random, q: int, rows: int, cols: int) -> list[int]:
     """Rejection-sample a full-rank rows x cols matrix; returns its packed
-    rows plus their row space (free canonicalization)."""
+    rows. One forward elimination decides each attempt."""
+    echelon = lanes(q, cols).echelon
     while True:
         raw = _random_rows(rng, q, rows, cols)
-        space = Subspace.from_packed(q, cols, raw)
-        if space.dim == rows:
-            return raw, space
+        if len(echelon(raw)) == rows:
+            return raw
 
 
 def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Subspace:
@@ -87,7 +85,7 @@ def _transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) -> Su
     if erasures > k:
         raise DomainError(f"cannot erase {erasures} dimensions from a {k}-dim space")
     # V' = random keep-dim subspace of V via a random full-rank coefficient matrix
-    coeff, _ = _random_full_rank_rows(rng, q, k - erasures, k)
+    coeff = _random_full_rank_rows(rng, q, k - erasures, k)
     r_rows = list((Mat(q, k, tuple(coeff)) * V.matrix).codes)
     # each error vector is sampled outside V + the errors so far, so the
     # received space has dimension keep+errors and meets V exactly in V'
@@ -265,20 +263,19 @@ def _search_range(
     spec: ElementaryDivisorSpec, k: int, seed: int, lo: int, hi: int
 ) -> dict[int, tuple[int, int, tuple]]:
     q, n = spec.field.q, spec.n
-    # built once; each trial swaps in its own start
-    base_code = make_code(spec, Mat.identity(q, n).rows[:k])
     best: dict[int, tuple[int, int, tuple]] = {}
     for t in range(lo, hi):
         rng = random.Random(seed ^ t)
-        _, start = _random_full_rank_rows(rng, q, k, n)
-        code = CyclicOrbitCode(base_code.generator, start, spec, base_code.regime)
-        params = analyze(code, method="fast")
+        # the drawn rows are analyzed as they are; only a start that enters
+        # a cell is canonicalized
+        raw = _random_full_rank_rows(rng, q, k, n)
+        params = analyze_packed(spec, raw)
         if params.min_distance is None:
             continue
         d = params.min_distance
         cur = best.get(d)
         if _better((params.cardinality, t), cur and (cur[0], cur[1])):
-            best[d] = (params.cardinality, t, start.rows)
+            best[d] = (params.cardinality, t, Subspace.from_packed(q, n, raw).rows)
     return best
 
 
@@ -291,9 +288,10 @@ def random_search(
     seed: int,
     jobs: int = 1,
 ) -> SearchReport:
-    """Sample `trials` random k-dim starts (full-rank k x n matrices,
-    canonicalized), fast-analyze each, and keep the best cardinality per
-    minimum distance. Reproducible per seed for any jobs value."""
+    """Sample `trials` random k-dim starts (full-rank k x n matrices),
+    fast-analyze each drawn basis, and keep the best cardinality per
+    minimum distance, with its start in RREF. Reproducible per seed for any
+    jobs value."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if isinstance(generator_spec, Poly):

@@ -5,7 +5,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitcodes import (
@@ -21,6 +21,7 @@ from orbitcodes import (
     Subspace,
     analyze,
     analyze_naive,
+    analyze_packed,
     block_bounds,
     build_generator,
     code_from_json_dict,
@@ -35,6 +36,7 @@ from orbitcodes import (
     matrix_order,
     subspace_distance,
 )
+from orbitcodes.fields import lanes
 
 from conftest import (
     P2,
@@ -154,6 +156,17 @@ def test_regime_labels():
     assert make_code(sq, [(1, 0, 0, 0)]).regime == "non_semisimple"
 
 
+def test_regime_is_computed_on_first_read():
+    # q - 1 = 2 p1 p2 with primes p1, p2 near 10^18: only the label that
+    # tells a primitive block from an irreducible one factors it
+    spec = {"q": 2000000000000000068000000000000000187, "blocks": [{"poly": "1 1"}], "start": ["1"]}
+    code, _ = code_from_json_dict(spec)
+    assert analyze(code) == CodeParams(1, None)
+    assert analyze(code, with_distribution=True) == CodeParams(1, None, (1, 0))
+    with pytest.raises(DomainError, match="squarings"):
+        code.regime
+
+
 def test_cardinality_divides_generator_order():
     rng = random.Random(SEED)
     spec = single_block(X6_X_1)
@@ -270,6 +283,47 @@ def test_fast_equals_naive_per_regime(regime):
         assert code.regime == regime
         fast, naive = params_pair(code)
         assert fast == naive, f"{regime} start {code.start.rows}"
+
+
+# blocks for random specs of one or two blocks: over F_3, the primitive
+# X2_X_2_F3 alone and x + 1 with the primitive cubic x^3 + 2x + 1 have
+# M^sigma = 2I, so the one-vector-per-line route runs
+PACKED_POOL = {
+    2: [(X3_X_1, 1), (X4_X_1, 1), (X4_NONPRIM, 1), (X2_X_1, 2), (poly_of(2, [1, 1]), 2)],
+    3: [(poly_of(3, [1, 1]), 1), (X2_X_2_F3, 1), (X2_1_F3, 1), (poly_of(3, [1, 2, 0, 1]), 1)],
+}
+
+
+@st.composite
+def packed_starts(draw):
+    """(spec, packed rows): one or two blocks from PACKED_POOL and k random
+    independent rows, 1 <= k <= n, kept as drawn (seldom in RREF)."""
+    q = draw(st.sampled_from([2, 3]))
+    blocks = draw(st.lists(st.sampled_from(PACKED_POOL[q]), min_size=1, max_size=2))
+    spec = ElementaryDivisorSpec.make(PrimeField(q), blocks)
+    k = draw(st.integers(1, spec.n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    L = lanes(q, spec.n)
+    while True:
+        codes = [L.pack([rng.randrange(q) for _ in range(spec.n)]) for _ in range(k)]
+        if len(L.echelon(codes)) == k:
+            return spec, codes
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(packed_starts())
+# the line route on the basis (2, 2), and the whole space in a non-RREF basis
+@example((single_block(X2_X_2_F3), [lanes(3, 2).pack((2, 2))]))
+@example((single_block(X3_X_1), [lanes(2, 3).pack(r) for r in [(1, 1, 0), (0, 1, 1), (1, 1, 1)]]))
+def test_packed_entry_equals_analyze(case):
+    spec, codes = case
+    rows = [lanes(spec.field.q, spec.n).unpack(c) for c in codes]
+    code = make_code(spec, rows)
+    for with_distribution in (False, True):
+        assert analyze_packed(spec, codes, with_distribution) == analyze(
+            code, with_distribution=with_distribution
+        )
+    assert analyze_packed(spec, codes, True) == analyze_naive(code)
 
 
 def test_q3_primitive_stabilizer_contains_minus_one():

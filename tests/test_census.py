@@ -8,6 +8,7 @@ members are distinct, new, as many as the cardinality, and together they
 number the Gaussian binomial [n choose k]_q.
 """
 
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -19,7 +20,9 @@ from orbitcodes import (
     analyze,
     analyze_naive,
     enumerate_orbit,
+    least_primitive,
     make_code,
+    random_search,
 )
 
 from conftest import poly_of
@@ -60,12 +63,14 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_orbits_partition_the_grassmannian(name):
-    spec, k = CASES[name]
+def census(spec, k) -> Counter:
+    """Orbit counts per (cardinality, minimum distance) over every
+    k-subspace, asserting on the way that fast == oracle on each orbit and
+    that the orbits partition the Grassmannian."""
     q, n = spec.field.q, spec.n
     seen: set = set()
     listed = 0
+    spectrum: Counter = Counter()
     for U in all_subspaces(q, n, k):
         listed += 1
         if U in seen:
@@ -78,4 +83,34 @@ def test_orbits_partition_the_grassmannian(name):
         assert len(members) == len(orbit) == fast.cardinality
         assert not members & seen
         seen |= members
+        spectrum[fast.cardinality, fast.min_distance] += 1
     assert listed == len(seen) == gaussian_binomial(n, k, q)
+    return spectrum
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_orbits_partition_the_grassmannian(name):
+    census(*CASES[name])
+
+
+# census(spec_of(2, [((1, 0, 1, 1, 1, 0, 0, 0, 1), 1)]), 4) under the least
+# primitive octic, the config of the search benchmark: 200787 subspaces,
+# about 13 s on a 2-CPU x86-64 host, so not run here
+Q2N8K4_SPECTRUM = {(255, 2): 40, (255, 4): 746, (85, 4): 4, (17, 8): 1}
+
+
+def test_q2n8k4_spectrum_covers_the_grassmannian():
+    assert sum(card * orbits for (card, _), orbits in Q2N8K4_SPECTRUM.items()) == (
+        gaussian_binomial(8, 4, 2)
+    )
+
+
+def test_seeded_search_cells_lie_in_the_q2n8k4_spectrum():
+    octic = least_primitive(PrimeField(2), 8)
+    found = set()
+    for seed in range(1, 21):
+        for c in random_search(2, 4, 8, octic, trials=200, seed=seed).cells:
+            assert (c.cardinality, c.distance) in Q2N8K4_SPECTRUM, (seed, c)
+            found.add((c.cardinality, c.distance))
+    # each distance's best cell is the largest orbit at that distance
+    assert found == {(255, 2), (255, 4)}

@@ -11,6 +11,7 @@ import pytest
 from orbitcodes import (
     ChannelConfig,
     DomainError,
+    ElementaryDivisorSpec,
     Poly,
     PrimeField,
     SpreadSpec,
@@ -30,7 +31,7 @@ from orbitcodes import (
 from orbitcodes.fields import lanes
 from orbitcodes.harness import SimulationStats, _better, _random_full_rank_rows, _transmit
 
-from conftest import P2, X4_X_1, X6_X_1, rand_full_rank, single_block
+from conftest import P2, X4_X_1, X6_X_1, poly_of, rand_full_rank, single_block
 
 
 SEED = 424242
@@ -401,6 +402,57 @@ def test_random_search_golden(q, k, n, seed):
     }
 
 
+# (q, k, blocks as (coefficients, exponent)) beyond the single primitive block
+SEARCH_BLOCK_SPECS = {
+    "q2_nonprimitive": (2, 3, [([1, 1, 1, 0, 1, 0, 1], 1)]),  # order 21
+    "q2_two_blocks": (2, 3, [([1, 1, 0, 1], 1), ([1, 1, 0, 0, 1], 1)]),
+    "q2_square": (2, 3, [([1, 1, 0, 1], 2)]),
+    "q3_nonprimitive": (3, 2, [([1, 1, 1, 1, 1], 1)]),  # order 5
+    "q3_two_blocks": (3, 2, [([1, 1], 1), ([1, 2, 0, 1], 1)]),  # M^13 = 2I
+    "q3_square": (3, 2, [([2, 1, 1], 2)]),
+}
+# random_search(q, k, n, spec, 80 trials, seed 2024) cells, as in
+# SEARCH_GOLDEN, captured before search trials analyzed their packed rows
+SEARCH_BLOCK_GOLDEN = {
+    "q2_nonprimitive": [
+        (2, 21, 2, ["1 0 0 0 0 1", "0 1 0 0 1 1", "0 0 0 1 0 1"]),
+        (4, 21, 0, ["1 0 0 1 0 0", "0 1 0 0 1 0", "0 0 1 1 1 1"]),
+    ],
+    "q2_two_blocks": [
+        (2, 105, 0, ["1 0 1 0 0 1 1", "0 1 0 0 0 0 0", "0 0 0 0 1 0 1"]),
+        (4, 105, 4, ["1 0 0 1 1 0 0", "0 0 1 1 0 0 0", "0 0 0 0 0 1 0"]),
+    ],
+    "q2_square": [
+        (2, 14, 5, ["1 0 0 0 0 0", "0 1 0 0 1 0", "0 0 1 1 0 1"]),
+        (4, 14, 0, ["1 0 0 1 0 0", "0 1 0 0 1 0", "0 0 1 1 1 1"]),
+    ],
+    "q3_nonprimitive": [
+        (2, 5, 2, ["1 0 0 1", "0 1 2 2"]),
+        (4, 5, 0, ["1 0 2 0", "0 0 0 1"]),
+    ],
+    "q3_two_blocks": [
+        (2, 13, 0, ["1 0 2 0", "0 0 0 1"]),
+    ],
+    "q3_square": [
+        (2, 12, 0, ["1 0 2 0", "0 0 0 1"]),
+        (4, 4, 1, ["1 0 1 2", "0 1 0 2"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(SEARCH_BLOCK_SPECS))
+def test_random_search_block_golden(name, jobs):
+    q, k, blocks = SEARCH_BLOCK_SPECS[name]
+    spec = ElementaryDivisorSpec.make(PrimeField(q), [(poly_of(q, c), e) for c, e in blocks])
+    rep = random_search(q, k, spec.n, spec, trials=80, seed=2024, jobs=jobs)
+    cells = [
+        (c.distance, c.cardinality, c.trial, [" ".join(map(str, r)) for r in c.start_rows])
+        for c in rep.cells
+    ]
+    assert cells == SEARCH_BLOCK_GOLDEN[name]
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 257])
 def test_sampler_draws_as_randrange(q):
     # the packed sampler must leave the generator exactly where a loop of
@@ -408,7 +460,8 @@ def test_sampler_draws_as_randrange(q):
     rows, cols = (3, 3) if q > 2 else (4, 4)
     for seed in range(40):
         rng, ref = random.Random(seed), random.Random(seed)
-        codes, space = _random_full_rank_rows(rng, q, rows, cols)
+        codes = _random_full_rank_rows(rng, q, rows, cols)
+        space = Subspace.from_packed(q, cols, codes)
         while True:
             raw = [[ref.randrange(q) for _ in range(cols)] for _ in range(rows)]
             if Subspace.from_rows(q, cols, raw).dim == rows:

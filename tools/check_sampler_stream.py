@@ -69,7 +69,7 @@ def ref_transmit(V: Subspace, erasures: int, errors: int, rng: random.Random) ->
 def check_start_sampler(q: int, seed: int) -> str | None:
     rows, cols = (3, 3) if q > 2 else (4, 4)
     rng, ref = random.Random(seed), random.Random(seed)
-    codes, _ = _random_full_rank_rows(rng, q, rows, cols)
+    codes = _random_full_rank_rows(rng, q, rows, cols)
     raw = ref_full_rank(ref, q, rows, cols)
     drawn = [lanes(q, cols).unpack(c) for c in codes]
     if drawn != raw or rng.getstate() != ref.getstate():
