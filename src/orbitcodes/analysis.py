@@ -204,11 +204,13 @@ def _walk(code: CyclicOrbitCode):
     """
     step = _make_stepper(code)
     start = code.start
+    # start.residual_rank(rows), with the packing and pivots bound once
+    echelon, piv, k = lanes(code.q, code.n).echelon, start.pivot_rows, start.dim
     rows = start.codes
     h = 1
     while True:
         rows = step(rows)
-        r = start.residual_rank(rows)
+        r = len(echelon(rows, piv)) - k
         if not r:
             return
         if h >= ORBIT_CAP:
@@ -296,16 +298,35 @@ def _scalar_shift(spec: ElementaryDivisorSpec) -> int | None:
     return sigma if all(c == (0, 0) for c in key) else None
 
 
+def _group_places(blocks, codes, f: int) -> dict:
+    """cycle_groups over the M-cycles of several blocks: {M-cycle key:
+    (L // f, [P mod L // f of each code on it, in input order])}, each code
+    placed by _place."""
+    groups: dict = {}
+    for v in codes:
+        key, P, L = _place(blocks, v)
+        if key not in groups:
+            groups[key] = (L // f, [])
+        L, ps = groups[key]
+        ps.append(P % L)
+    return groups
+
+
 @lru_cache(maxsize=128)
 def _placement(spec: ElementaryDivisorSpec):
-    """The placer, v -> (M-cycle key, position P, cycle length L) for a
-    nonzero packed v, and _scalar_shift(spec): everything analyze_packed
-    needs of the spec behind one cache lookup. With one block the M-cycles
-    are the block's own cycles, so the placer is its cycle_of_code."""
-    blocks = tuple((s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(spec))
-    # a positional partial: a keyword one builds a dict per call
-    place = blocks[0][2] if len(blocks) == 1 else partial(_place, blocks)
-    return place, _scalar_shift(spec)
+    """The grouping (codes, f) -> {M-cycle key: (L // f, [P mod L // f])}
+    for nonzero packed codes, _scalar_shift(spec) and the packing of F_q^n:
+    everything analyze_packed needs of the spec behind one cache lookup.
+    With one block the M-cycles are the block's own cycles, so the grouping
+    is its cycle_groups."""
+    blocks = _packed_blocks(spec)
+    if len(blocks) == 1:
+        group = blocks[0][2].cycle_groups
+    else:
+        placers = tuple((s, mask, ctx.cycle_of_code) for s, mask, ctx in blocks)
+        # a positional partial: a keyword one builds a dict per call
+        group = partial(_group_places, placers)
+    return group, _scalar_shift(spec), lanes(spec.field.q, spec.n)
 
 
 def analyze_packed(
@@ -322,12 +343,13 @@ def analyze_packed(
     exactly when h is a multiple of every period, so the cardinality is
     their lcm.
     """
-    q, k = spec.field.q, len(codes)
-    packing = lanes(q, spec.n)
+    k = len(codes)
     if k == spec.n:
-        # the start is the whole space, fixed by every generator
+        # the start is the whole space, fixed by every generator; checked
+        # before the placement, which indexes the blocks
         return CodeParams(1, None, (1,) + (0,) * k if with_distribution else None)
-    place, sigma = _placement(spec)
+    group, sigma, packing = _placement(spec)
+    q = packing.q
     if sigma is None:
         # U's nonzero elements, packed; the zero combination comes first
         f, vectors = 1, packing.span(codes)[1:]
@@ -337,14 +359,9 @@ def analyze_packed(
         # one vector per 1-dim subspace, its position taken mod L/(q - 1),
         # stands for all of them, and count(h) is q - 1 times its count
         f, vectors = q - 1, packing.points(codes)
-    groups: dict = {}
-    for v in vectors:
-        key, P, L = place(v)
-        L //= f
-        groups.setdefault(key, (L, []))[1].append(P % L)
     cardinality = 1
     cycles = []
-    for L, ps in groups.values():
+    for L, ps in group(vectors, f).values():
         n = len(ps)
         if n * (n - 1) // 2 > PAIR_LIMIT:
             raise DomainError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, InternalInvariantError, SingularMatrixError
 from .fields import Poly, PrimeField, factor_poly, is_irreducible, lanes, power_order
@@ -56,9 +56,22 @@ class ElementaryDivisorSpec:
             raise DomainError("spec needs at least one block")
         return cls(field, tuple(checked))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(p.degree * e for p, e in self.blocks)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.field, self.blocks))
+
+    def __hash__(self) -> int:
+        # each lru_cache keyed by the spec hashes it; its Poly tuples are
+        # hashed once per object
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # the fields only: n and the hash are recomputed on first read
+        return {"field": self.field, "blocks": self.blocks}
 
     @property
     def block_degrees(self) -> tuple[int, ...]:

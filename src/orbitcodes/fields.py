@@ -675,7 +675,8 @@ class PackedRing:
         if not carry:
             return code
         L = self.lanes
-        return L.add(code, L.scale(self._xn, carry))
+        # a carry of 1, every step over F_2, adds x^n as it is
+        return L.add(code, self._xn if carry == 1 else L.scale(self._xn, carry))
 
     def mul_code(self, a: int, b: int) -> int:
         """a * b on packed elements, by Horner over b's lanes from the top."""
@@ -829,6 +830,31 @@ class FieldCtx(PackedRing):
         starts = self._starts
         c = bisect_right(starts, s) - 1
         return c, s - starts[c], starts[c + 1] - starts[c]
+
+    def cycle_groups(self, codes, f: int = 1) -> dict[int, tuple[int, list[int]]]:
+        """cycle_of_code of every code of a sequence of nonzero packed
+        elements, grouped by cycle: {cycle id: (L // f, [position mod L // f
+        of each code on that cycle of length L, in input order])}.
+
+        f must divide the length of every cycle a code lies on. With one
+        cycle, as for every primitive modulus, the slot of a code is its
+        position, so no search for the cycle is made.
+        """
+        if not all(codes):
+            raise DomainError("zero lies on no cycle of multiplication by x")
+        slot = self._index()
+        starts = self._starts
+        if len(starts) == 2:
+            L = starts[1] // f
+            return {0: (L, [slot[c] % L for c in codes])} if codes else {}
+        groups: dict[int, tuple[int, list[int]]] = {}
+        for s in [slot[c] for c in codes]:
+            c = bisect_right(starts, s) - 1
+            if c not in groups:
+                groups[c] = ((starts[c + 1] - starts[c]) // f, [])
+            L, ps = groups[c]
+            ps.append((s - starts[c]) % L)
+        return groups
 
     def cycle_of(self, v) -> tuple[int, int, int]:
         """cycle_of_code for a coefficient tuple."""

@@ -190,7 +190,7 @@ class Subspace:
         return Mat(self.q, self.n, self.codes)
 
     @cached_property
-    def _pivot_rows(self) -> tuple[tuple[int, int], ...]:
+    def pivot_rows(self) -> tuple[tuple[int, int], ...]:
         """(bit offset of the pivot lane, packed row) per RREF basis row."""
         w = lanes(self.q, self.n).w
         return tuple(zip([p * w for p in self.pivots], self.codes))
@@ -198,7 +198,7 @@ class Subspace:
     def residual_rank(self, codes) -> int:
         """dim(self + span(codes)) - dim(self) for packed rows of F_q^n: how
         far the rows lengthen the echelon of this RREF basis."""
-        return len(lanes(self.q, self.n).echelon(codes, self._pivot_rows)) - self.dim
+        return len(lanes(self.q, self.n).echelon(codes, self.pivot_rows)) - self.dim
 
     def contains(self, v) -> bool:
         if len(v) != self.n:

@@ -142,8 +142,13 @@ def test_naive_oracle_reads_no_cycle_index(monkeypatch):
         raise AssertionError("the oracle used the fast analyzer's machinery")
 
     monkeypatch.setattr(FieldCtx, "cycle_of_code", refuse)
+    monkeypatch.setattr(FieldCtx, "cycle_groups", refuse)
     monkeypatch.setattr(FieldCtx, "mul_x_power_code", refuse)
+    # the placements cached by the fast runs above hold the unpatched bound
+    # methods, and each of those reads the index through _index
+    monkeypatch.setattr(FieldCtx, "_index", refuse)
     monkeypatch.setattr(Lanes, "span", refuse)
+    monkeypatch.setattr(Lanes, "points", refuse)
     assert [analyze_naive(c) for c in codes] == fast
 
 

@@ -1,6 +1,7 @@
 """Elementary divisors, characteristic polynomials and matrix types."""
 
 import math
+import pickle
 import random
 import time
 
@@ -186,6 +187,18 @@ def test_spec_dimensions_and_orders():
     assert sq.n == 4
     # order of a p^e block: ord(p) * q^ceil(log_q e)
     assert sq.generator_order() == 6
+
+
+def test_spec_pickles_its_fields_only():
+    # n and the hash are computed once per object; a --jobs worker gets the
+    # fields and computes them again
+    spec = ElementaryDivisorSpec.make(P2, [(X4_X_1, 1), (X2_X_1, 2)])
+    fresh = pickle.dumps(ElementaryDivisorSpec.make(P2, [(X4_X_1, 1), (X2_X_1, 2)]))
+    assert (spec.n, hash(spec)) == (8, hash((spec.field, spec.blocks)))
+    assert pickle.dumps(spec) == fresh
+    back = pickle.loads(fresh)
+    assert back == spec and hash(back) == hash(spec) and back.n == 8
+    assert back != ElementaryDivisorSpec.make(P2, [(X4_X_1, 1), (X2_X_1, 1)])
 
 
 def test_build_generator_block_layout():

@@ -105,6 +105,28 @@ def test_q2n8k4_spectrum_covers_the_grassmannian():
     )
 
 
+# census(spec_of(3, [((2, 1, 0, 0, 0, 0, 1), 1)]), 3) under the least
+# primitive sextic over F_3, the other search benchmark config, where the
+# scalars lie in <M> and the analyzer places one vector per 1-dim subspace
+Q3N6K3_SPECTRUM = {(28, 6): 1, (364, 2): 39, (364, 4): 54}
+
+
+def test_q3n6k3_census_spectrum():
+    sextic = least_primitive(PrimeField(3), 6)
+    assert sextic.coeffs == (2, 1, 0, 0, 0, 0, 1)
+    assert census(spec_of(3, [(sextic.coeffs, 1)]), 3) == Q3N6K3_SPECTRUM
+
+
+def test_seeded_search_cells_lie_in_the_q3n6k3_spectrum():
+    sextic = least_primitive(PrimeField(3), 6)
+    found = set()
+    for seed in range(1, 21):
+        for c in random_search(3, 3, 6, sextic, trials=200, seed=seed).cells:
+            assert (c.cardinality, c.distance) in Q3N6K3_SPECTRUM, (seed, c)
+            found.add((c.cardinality, c.distance))
+    assert found == {(364, 2), (364, 4)}
+
+
 def test_seeded_search_cells_lie_in_the_q2n8k4_spectrum():
     octic = least_primitive(PrimeField(2), 8)
     found = set()

@@ -32,8 +32,8 @@ from orbitcodes import (
     subspace_distance,
 )
 from orbitcodes.decoder import lf_set, lf_vector_count
-from orbitcodes.errors import NonUnitError
-from orbitcodes.fields import is_irreducible, lanes, poly_gcd
+from orbitcodes.errors import DomainError, NonUnitError
+from orbitcodes.fields import is_irreducible, lanes, poly_gcd, primitive_root
 from orbitcodes.linalg import intersection_dim
 
 from conftest import mul_by_x, poly_of, pow_mod
@@ -253,6 +253,50 @@ def test_cycle_of_matches_tuple_walk(case):
     code = ctx.pack(v)
     assert ctx.lanes.unpack(ctx.mul_x_power_code(code, length - pos)) == firsts[cid]
     assert ctx.lanes.unpack(ctx.mul_x_power_code(code, 1)) == mul_by_x(ctx, v)
+
+
+# one cycle (primitive), many cycles (non-primitive irreducible) and p^e
+# moduli over F_2, F_3 and F_5; in (x + 1)^6 over F_2 a cycle of length 8
+# starts after one of length 4, so a position is not its slot mod 8
+GROUPING_MODULI = [
+    (2, (1, 1, 0, 0, 1)),
+    (2, (1, 1, 1, 1, 1)),
+    (2, (1, 0, 1, 0, 1)),
+    (2, (1, 0, 1, 0, 1, 0, 1)),
+    (3, (2, 1, 1)),
+    (3, (1, 0, 1)),
+    (3, (1, 2, 1)),
+    (5, (2, 1, 1)),
+    (5, (2, 0, 1)),
+    (5, (1, 2, 1)),
+]
+
+
+@st.composite
+def grouping_cases(draw):
+    q, coeffs = draw(st.sampled_from(GROUPING_MODULI))
+    ctx = field_context(poly_of(q, coeffs))
+    vectors = st.lists(st.integers(0, q - 1), min_size=ctx.n, max_size=ctx.n).filter(any)
+    codes = [ctx.pack(v) for v in draw(st.lists(vectors, max_size=24))]
+    return ctx, codes, draw(st.integers(0, len(codes)))
+
+
+@SETTINGS
+@given(grouping_cases())
+def test_cycle_groups_match_cycle_of_code(case):
+    ctx, codes, at = case
+    q = ctx.q
+    # f = q - 1 where some power of x is the least primitive root, as for
+    # the one block of a spec with M^sigma = zeta I
+    for f in (1, q - 1) if ctx.x_log_code(primitive_root(q)) is not None else (1,):
+        expect = {}
+        for code in codes:
+            cid, pos, length = ctx.cycle_of_code(code)
+            assert length % f == 0
+            expect.setdefault(cid, (length // f, []))[1].append(pos % (length // f))
+        assert list(ctx.cycle_groups(codes, f).items()) == list(expect.items())
+        with pytest.raises(DomainError, match="zero"):
+            ctx.cycle_groups(codes[:at] + [0] + codes[at:], f)
 
 
 @SETTINGS
