@@ -26,17 +26,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from itertools import combinations
 
-from .canonical import ElementaryDivisorSpec, build_generator, matrix_order, poly_pow
+from .canonical import ElementaryDivisorSpec
 from .errors import (
     DomainError,
     InternalInvariantError,
     OrbitCapError,
     ShapeMismatchError,
 )
-from .fields import FieldCtx, Poly, PrimeField, check_entries, field_context, lanes, primitive_root
+from .fields import Poly, PrimeField, check_entries, field_context, lanes
 from .linalg import Mat, Subspace, dual
 
 ORBIT_CAP = 2**20
@@ -82,11 +82,6 @@ class CyclicOrbitCode:
     def k(self) -> int:
         return self.start.dim
 
-    def generator_order(self) -> int:
-        if self.block_structure is not None:
-            return self.block_structure.generator_order()
-        return matrix_order(self.generator)
-
     @cached_property
     def regime(self) -> str:
         """The label of the block shape, "general" for a bare matrix; read
@@ -110,7 +105,7 @@ def _regime(spec: ElementaryDivisorSpec) -> str:
 
 def make_code(spec: ElementaryDivisorSpec, start_rows) -> CyclicOrbitCode:
     """Orbit code from elementary-divisor data and start subspace rows."""
-    gen = build_generator(spec)
+    gen = spec.compiled.generator
     if isinstance(start_rows, Subspace):
         start = start_rows
         if start.n != spec.n or start.q != spec.field.q:
@@ -141,51 +136,30 @@ def general_code(generator: Mat, start: Subspace) -> CyclicOrbitCode:
 # -- orbit stepping ---------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _packed_blocks(spec: ElementaryDivisorSpec) -> tuple[tuple[int, int, FieldCtx], ...]:
-    """(bit offset, bit mask, context of F_q[x]/(p^e)) of each block of a
-    packed vector."""
-    w = lanes(spec.field.q, spec.n).w
-    out = []
-    s = 0
-    for p, e in spec.blocks:
-        ctx = field_context(poly_pow(p, e))
-        out.append((s, (1 << (ctx.n * w)) - 1, ctx))
-        s += ctx.n * w
-    return tuple(out)
-
-
 def _make_stepper(code: CyclicOrbitCode):
-    """Returns packed rows -> packed rows after one application of the
+    """Returns packed row -> packed row after one application of the
     generator: one multiply-by-x per block, or a matrix product for a bare
     matrix. It reads no cycle index."""
     if code.block_structure is None:
-        step_row = code.generator.apply
-    else:
-        blocks = [
-            (s, mask, ctx.mul_by_x_code) for s, mask, ctx in _packed_blocks(code.block_structure)
-        ]
-        if len(blocks) == 1:
-            step_row = blocks[0][2]
-        else:
+        return code.generator.apply
+    blocks = [(s, mask, ctx.mul_by_x_code) for s, mask, ctx in code.block_structure.compiled.blocks]
+    if len(blocks) == 1:
+        return blocks[0][2]
 
-            def step_row(v):
-                out = 0
-                for s, mask, mul_x in blocks:
-                    out |= mul_x((v >> s) & mask) << s
-                return out
+    def step_row(v):
+        out = 0
+        for s, mask, mul_x in blocks:
+            out |= mul_x((v >> s) & mask) << s
+        return out
 
-    def step(rows):
-        return [step_row(v) for v in rows]
-
-    return step
+    return step_row
 
 
 def codeword(code: CyclicOrbitCode, exponent: int) -> Subspace:
     """The orbit element U M^exponent, canonicalized."""
     if code.block_structure is None:
         return code.start.transform(code.generator**exponent)
-    blocks = _packed_blocks(code.block_structure)
+    blocks = code.block_structure.compiled.blocks
     rows = []
     for v in code.start.codes:
         out = 0
@@ -202,14 +176,14 @@ def _walk(code: CyclicOrbitCode):
     r = k - dim(U cap UM^h), and r = 0 means the orbit has closed. An
     orbit of more than ORBIT_CAP codewords raises OrbitCapError.
     """
-    step = _make_stepper(code)
+    step_row = _make_stepper(code)
     start = code.start
     # start.residual_rank(rows), with the packing and pivots bound once
     echelon, piv, k = lanes(code.q, code.n).echelon, start.pivot_rows, start.dim
     rows = start.codes
     h = 1
     while True:
-        rows = step(rows)
+        rows = [step_row(v) for v in rows]
         r = len(echelon(rows, piv)) - k
         if not r:
             return
@@ -241,100 +215,13 @@ def analyze_naive(code: CyclicOrbitCode) -> CodeParams:
 # -- the fast analyzer -------------------------------------------------------
 
 
-def _place(blocks, v: int) -> tuple[tuple, int, int]:
-    """(M-cycle key, position P, cycle length L) of a nonzero packed vector v.
-
-    Per live block, v's part has a cycle id, a position e and a length m,
-    and vM^h = w needs h = e_w - e_v mod m in every live block. The
-    positions are merged by CRT into one P mod L = lcm of the m. Where two
-    moduli share a factor g the system only has a solution when the
-    positions agree mod g, so e is first shifted by (P - e) mod g and the
-    shift goes into the key: two elements then share a key exactly when
-    some power of M maps one to the other.
-    """
-    key = []
-    P, L = 0, 1
-    for s, mask, cycle_of in blocks:
-        part = (v >> s) & mask
-        if not part:
-            key.append(None)
-            continue
-        cid, e, m = cycle_of(part)
-        if L == 1:
-            # nothing to merge yet: the CRT step below would give e, m, 0
-            P, L = e, m
-            key.append((cid, 0))
-            continue
-        g = math.gcd(L, m)
-        shift = (P - e) % g
-        mg = m // g
-        P += L * ((e + shift - P) // g * pow(L // g, -1, mg) % mg)
-        L *= mg
-        key.append((cid, shift))
-    return tuple(key), P, L
-
-
-def _scalar_shift(spec: ElementaryDivisorSpec) -> int | None:
-    """sigma with M^sigma = zeta I for the least primitive root zeta of F_q,
-    or None when q = 2 or no power of M is zeta I.
-
-    M^sigma = zeta I says x^sigma = zeta in every block: zeta lies on
-    cycle 0 (the powers of x) of each block at its x-log, and sigma solves
-    those logs mod the orders of x by the CRT step of _place, which records
-    no shift exactly when they agree.
-    """
-    q = spec.field.q
-    if q == 2:
-        return None
-    blocks = [(s, mask, ctx.cycle_of_code) for s, mask, ctx in _packed_blocks(spec)]
-    zeta = primitive_root(q)
-    try:
-        # the constant zeta in every block: zeta in the first lane of each
-        key, sigma, _ = _place(blocks, sum(zeta << s for s, _, _ in blocks))
-    except DomainError:
-        # a block too large to index: the general route indexes only the
-        # blocks a start lives in
-        return None
-    return sigma if all(c == (0, 0) for c in key) else None
-
-
-def _group_places(blocks, codes, f: int) -> dict:
-    """cycle_groups over the M-cycles of several blocks: {M-cycle key:
-    (L // f, [P mod L // f of each code on it, in input order])}, each code
-    placed by _place."""
-    groups: dict = {}
-    for v in codes:
-        key, P, L = _place(blocks, v)
-        if key not in groups:
-            groups[key] = (L // f, [])
-        L, ps = groups[key]
-        ps.append(P % L)
-    return groups
-
-
-@lru_cache(maxsize=128)
-def _placement(spec: ElementaryDivisorSpec):
-    """The grouping (codes, f) -> {M-cycle key: (L // f, [P mod L // f])}
-    for nonzero packed codes, _scalar_shift(spec) and the packing of F_q^n:
-    everything analyze_packed needs of the spec behind one cache lookup.
-    With one block the M-cycles are the block's own cycles, so the grouping
-    is its cycle_groups."""
-    blocks = _packed_blocks(spec)
-    if len(blocks) == 1:
-        group = blocks[0][2].cycle_groups
-    else:
-        placers = tuple((s, mask, ctx.cycle_of_code) for s, mask, ctx in blocks)
-        # a positional partial: a keyword one builds a dict per call
-        group = partial(_group_places, placers)
-    return group, _scalar_shift(spec), lanes(spec.field.q, spec.n)
-
-
 def analyze_packed(
     spec: ElementaryDivisorSpec, codes, with_distribution: bool = False
 ) -> CodeParams:
     """Exact parameters of U<M> for the generator M of `spec`, with U the
     span of `codes`: linearly independent packed rows of F_q^n (see
-    fields.Lanes), in any basis of U.
+    fields.Lanes), in any basis of U. Empty or dependent rows raise
+    DomainError.
 
     Within an M-cycle of length L, vM^h = w for w on the same cycle exactly
     when h = P_w - P_v mod L, so count(h) sums, over the M-cycles, the
@@ -344,11 +231,15 @@ def analyze_packed(
     their lcm.
     """
     k = len(codes)
-    if k == spec.n:
-        # the start is the whole space, fixed by every generator; checked
+    compiled = spec.compiled
+    packing = compiled.lanes
+    if not 0 < k < spec.n:
+        # no rows, or the whole space, fixed by every generator; checked
         # before the placement, which indexes the blocks
+        if k != spec.n or len(packing.echelon(codes)) < k:
+            raise DomainError(f"codes must be 1 to n = {spec.n} linearly independent rows")
         return CodeParams(1, None, (1,) + (0,) * k if with_distribution else None)
-    group, sigma, packing = _placement(spec)
+    sigma = compiled.sigma
     q = packing.q
     if sigma is None:
         # U's nonzero elements, packed; the zero combination comes first
@@ -359,9 +250,16 @@ def analyze_packed(
         # one vector per 1-dim subspace, its position taken mod L/(q - 1),
         # stands for all of them, and count(h) is q - 1 times its count
         f, vectors = q - 1, packing.points(codes)
+    try:
+        groups = compiled.group(vectors, f)
+    except DomainError:
+        # a nonzero combination of independent rows is never zero
+        if 0 in vectors:
+            raise DomainError("codes must be linearly independent") from None
+        raise
     cardinality = 1
     cycles = []
-    for L, ps in group(vectors, f).values():
+    for L, ps in groups.values():
         n = len(ps)
         if n * (n - 1) // 2 > PAIR_LIMIT:
             raise DomainError(
@@ -440,10 +338,6 @@ def analyze(
     """
     if method not in ("auto", "fast", "naive"):
         raise DomainError(f"unknown analysis method {method!r}")
-    if code.k == code.n:
-        # the start is the whole space, fixed by every generator
-        dist = (1,) + (0,) * code.k if with_distribution else None
-        return CodeParams(1, None, dist)
     if method != "naive" and code.block_structure is not None:
         return analyze_packed(code.block_structure, code.start.codes, with_distribution)
     if method == "fast":
@@ -494,7 +388,7 @@ def block_bounds(code: CyclicOrbitCode) -> BoundsReport:
     spec = code.block_structure
     if spec is None:
         raise ShapeMismatchError("block bounds need a block-structured generator")
-    blocks = _packed_blocks(spec)
+    blocks = spec.compiled.blocks
     slices = [[(v >> s) & mask for v in code.start.codes] for s, mask, _ in blocks]
     if len(blocks) == 1:
         shape = "single"
@@ -505,17 +399,10 @@ def block_bounds(code: CyclicOrbitCode) -> BoundsReport:
     else:
         raise ShapeMismatchError("start is neither block-diagonal nor a full-rank concatenation")
     live = [[v for v in sl if v] for sl in slices]
-    comps = tuple(
-        analyze(
-            make_code(
-                ElementaryDivisorSpec(spec.field, (block,)),
-                Subspace.from_packed(code.q, ctx.n, vs),
-            )
-        )
-        if vs
-        else CodeParams(1, None)
-        for block, (_, _, ctx), vs in zip(spec.blocks, blocks, live)
-    )
+    # each component under its block alone, by its nonzero slices: a basis
+    # of it in every shape above
+    solo = [ElementaryDivisorSpec(spec.field, (block,)) for block in spec.blocks]
+    comps = tuple(analyze_packed(c, vs) if vs else CodeParams(1, None) for c, vs in zip(solo, live))
     cards = [c.cardinality for c in comps]
     lo = math.lcm(*cards)
     lower = min((c.min_distance for c in comps if c.min_distance is not None), default=None)

@@ -4,18 +4,28 @@ A cyclic subgroup of GL_n(F_q) is determined up to conjugacy by the "type"
 of any generator: for each irreducible factor p of the characteristic
 polynomial, the partition formed by the exponents of its elementary
 divisors, together with the multiplicative order of p. This module builds
-block-diagonal generators from elementary-divisor data and recovers the
-type of an arbitrary invertible matrix.
+block-diagonal generators from elementary-divisor data, compiles a spec's
+block form once per spec, and recovers the type of an invertible matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, partial
 
 from .errors import DomainError, InternalInvariantError, SingularMatrixError
-from .fields import Poly, PrimeField, factor_poly, is_irreducible, lanes, power_order
+from .fields import (
+    FieldCtx,
+    Poly,
+    PrimeField,
+    factor_poly,
+    field_context,
+    is_irreducible,
+    lanes,
+    power_order,
+    primitive_root,
+)
 from .linalg import Mat, companion_matrix
 
 # Classification relies on exhaustive factor search; keep inputs desk-sized.
@@ -23,10 +33,7 @@ MAX_CLASSIFY_DIM = 12
 
 
 def poly_pow(p: Poly, e: int) -> Poly:
-    out = Poly.make(p.field, [1])
-    for _ in range(e):
-        out = out * p
-    return out
+    return math.prod([p] * e, start=Poly.make(p.field, [1]))
 
 
 @dataclass(frozen=True)
@@ -61,44 +68,144 @@ class ElementaryDivisorSpec:
         return sum(p.degree * e for p, e in self.blocks)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.field, self.blocks))
-
-    def __hash__(self) -> int:
-        # each lru_cache keyed by the spec hashes it; its Poly tuples are
-        # hashed once per object
-        return self._hash
+    def compiled(self) -> CompiledSpec:
+        """The block form every layer reads, built on first read."""
+        return CompiledSpec(self)
 
     def __getstate__(self) -> dict:
-        # the fields only: n and the hash are recomputed on first read
+        # the fields only: n and the compiled form are rebuilt on first read
         return {"field": self.field, "blocks": self.blocks}
 
-    @property
-    def block_degrees(self) -> tuple[int, ...]:
-        return tuple(p.degree * e for p, e in self.blocks)
-
     def generator_order(self) -> int:
+        return self.compiled.order
+
+
+class CompiledSpec:
+    """A spec's generator M as diagonal companion blocks p^e, M multiplying
+    block i by x in F_q[x]/(p^e). A packed vector of F_q^n (fields.Lanes)
+    holds block i's part at bit offset s_i under mask m_i: `layout` lists
+    (s_i, m_i, p^e) and is the one place the offsets are worked out. The
+    rest is built on first read and kept; the naive oracle never reads the
+    placer (group) or sigma, so it builds no cycle index.
+    """
+
+    def __init__(self, spec: ElementaryDivisorSpec):
+        self.spec = spec
+        self.lanes = lanes(spec.field.q, spec.n)
+        layout, s = [], 0
+        for p, e in spec.blocks:
+            f = poly_pow(p, e)
+            width = f.degree * self.lanes.w
+            layout.append((s, (1 << width) - 1, f))
+            s += width
+        self.layout: tuple[tuple[int, int, Poly], ...] = tuple(layout)
+
+    @cached_property
+    def generator(self) -> Mat:
+        return build_generator(self.spec)
+
+    @cached_property
+    def order(self) -> int:
         """lcm over the blocks of ord(p^e) = ord(p) * q^ceil(log_q e)."""
-        return math.lcm(*(power_order(p, e) for p, e in self.blocks))
+        return math.lcm(*(power_order(p, e) for p, e in self.spec.blocks))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int, FieldCtx], ...]:
+        """(bit offset, bit mask, context of F_q[x]/(p^e)) of each block."""
+        return tuple((s, mask, field_context(f)) for s, mask, f in self.layout)
+
+    @cached_property
+    def group(self):
+        """The grouping (codes, f) -> {M-cycle key: (L // f, [P mod L // f])}
+        of nonzero packed codes, which refuses a zero code. With one block
+        the M-cycles are the block's own cycles, so it is cycle_groups."""
+        if len(self.blocks) == 1:
+            return self.blocks[0][2].cycle_groups
+        # a positional partial: a keyword one builds a dict per call
+        return partial(_group_places, self.blocks)
+
+    @cached_property
+    def sigma(self) -> int | None:
+        """sigma with M^sigma = zeta I for the least primitive root zeta of
+        F_q, or None when q = 2 or no power of M is zeta I.
+
+        M^sigma = zeta I says x^sigma = zeta in every block: zeta lies on
+        cycle 0 (the powers of x) of each block at its x-log, and sigma solves
+        those logs mod the orders of x by the CRT step of _place, which records
+        no shift exactly when they agree.
+        """
+        q = self.spec.field.q
+        if q == 2:
+            return None
+        zeta = primitive_root(q)
+        try:
+            # the constant zeta in every block: zeta in the first lane of each
+            key, sigma, _ = _place(self.blocks, sum(zeta << s for s, _, _ in self.layout))
+        except DomainError:
+            # a block too large to index: the general route indexes only the
+            # blocks a start lives in
+            return None
+        return sigma if all(c == (0, 0) for c in key) else None
 
 
-@lru_cache(maxsize=128)
+def _place(blocks, v: int) -> tuple[tuple, int, int]:
+    """(M-cycle key, position P, cycle length L) of a nonzero packed vector v.
+
+    Per live block, v's part has a cycle id, a position e and a length m,
+    and vM^h = w needs h = e_w - e_v mod m in every live block. The
+    positions are merged by CRT into one P mod L = lcm of the m. Where two
+    moduli share a factor g the system only has a solution when the
+    positions agree mod g, so e is first shifted by (P - e) mod g and the
+    shift goes into the key: two elements then share a key exactly when
+    some power of M maps one to the other.
+    """
+    key = []
+    P, L = 0, 1
+    for s, mask, ctx in blocks:
+        part = (v >> s) & mask
+        if not part:
+            key.append(None)
+            continue
+        cid, e, m = ctx.cycle_of_code(part)
+        if L == 1:
+            # nothing to merge yet: the CRT step below would give e, m, 0
+            P, L = e, m
+            key.append((cid, 0))
+            continue
+        g = math.gcd(L, m)
+        shift = (P - e) % g
+        mg = m // g
+        P += L * ((e + shift - P) // g * pow(L // g, -1, mg) % mg)
+        L *= mg
+        key.append((cid, shift))
+    return tuple(key), P, L
+
+
+def _group_places(blocks, codes, f: int) -> dict:
+    """cycle_groups over the M-cycles of several blocks: {M-cycle key:
+    (L // f, [P mod L // f of each code on it, in input order])}, each code
+    placed by _place."""
+    if not all(codes):
+        raise DomainError("zero lies on no cycle of the generator")
+    groups: dict = {}
+    for v in codes:
+        key, P, L = _place(blocks, v)
+        if key not in groups:
+            groups[key] = (L // f, [])
+        L, ps = groups[key]
+        ps.append(P % L)
+    return groups
+
+
 def build_generator(spec: ElementaryDivisorSpec) -> Mat:
-    """Block-diagonal matrix of companion blocks, one per (p, e) with poly p^e.
-    Cached per spec: search and the oracle re-check build the same one."""
-    q = spec.field.q
-    n = spec.n
+    """Block-diagonal matrix of companion blocks, one per (p, e) with poly
+    p^e, each at its offset in the spec's layout."""
     if any(p.coeff(0) == 0 for p, _ in spec.blocks):
         raise SingularMatrixError(
             "generator is singular: a block polynomial has p(0) = 0"
         )
-    w = lanes(q, n).w
-    codes: list[int] = []
-    for p, e in spec.blocks:
-        # a block's rows sit at lane offset len(codes), its own row count
-        shift = w * len(codes)
-        codes += [c << shift for c in companion_matrix(poly_pow(p, e)).codes]
-    return Mat(q, n, tuple(codes))
+    codes = [c << s for s, _, f in spec.compiled.layout for c in companion_matrix(f).codes]
+    return Mat(spec.field.q, spec.n, tuple(codes))
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterator, NamedTuple
 
 from .analysis import PAIR_LIMIT, CodeParams, CyclicOrbitCode, analyze, codeword
 from .errors import DomainError, InternalInvariantError
-from .fields import FieldCtx, Lanes, field_context, lanes
+from .fields import Lanes, lanes
 from .linalg import Subspace
 
 
@@ -52,10 +52,10 @@ class DecodeResult:
     candidates_examined: int
 
 
-class _CodeInfo(NamedTuple):
-    """What every decode of one code needs."""
+class _Tables(NamedTuple):
+    """What every decode of one code needs. It holds no FieldCtx, so a code
+    that carries it still pickles to --jobs workers."""
 
-    ctx: FieldCtx
     params: CodeParams
     # (cycle id, position) of each nonzero element of U, element_codes order
     places: tuple[tuple[int, int], ...]
@@ -63,23 +63,24 @@ class _CodeInfo(NamedTuple):
     residues: dict[int, list[tuple[int, int]]]
 
 
-@lru_cache(maxsize=128)
-def _code_info(code: CyclicOrbitCode) -> _CodeInfo:
-    spec = code.block_structure
-    if spec is None or len(spec.blocks) != 1 or spec.blocks[0][1] != 1:
-        raise DomainError(
-            "decoding needs a single irreducible companion-block generator"
-        )
-    ctx = field_context(spec.blocks[0][0])
-    if not ctx.is_irreducible:
-        raise DomainError("decoding needs an irreducible generator polynomial")
+def _tables(code: CyclicOrbitCode) -> _Tables:
+    """The code's decoder tables, built on its first decode and kept in its
+    __dict__, as cached_property keeps CyclicOrbitCode.regime: a decode
+    neither hashes the code nor rebuilds them."""
+    tables = vars(code).get("decoder_tables")
+    if tables is not None:
+        return tables
+    if code.regime not in ("primitive", "irreducible"):
+        raise DomainError("decoding needs a single irreducible companion-block generator")
+    ctx = code.block_structure.compiled.blocks[0][2]
     params = analyze(code, method="fast")
     places = tuple(ctx.cycle_of_code(u)[:2] for u in code.start.element_codes()[1:])
     card = params.cardinality
     residues: dict[int, list[tuple[int, int]]] = {}
     for (c, a), na in Counter((c, p % card) for c, p in places).items():
         residues.setdefault(c, []).append((a, na))
-    return _CodeInfo(ctx, params, places, residues)
+    tables = vars(code)["decoder_tables"] = _Tables(params, places, residues)
+    return tables
 
 
 def _check_received(R: Subspace, code: CyclicOrbitCode) -> None:
@@ -108,7 +109,8 @@ def decode_exhaustive(R: Subspace, code: CyclicOrbitCode) -> DecodeResult:
     (q^k - 1)(q^k' - 1). Ambiguity is reported through unique=False with
     the smallest tied exponent."""
     _check_received(R, code)
-    ctx, params, _, residues = _code_info(code)
+    params, _, residues = _tables(code)
+    ctx = code.block_structure.compiled.blocks[0][2]
     q, k, kp = code.q, code.k, R.dim
     examined = (q**k - 1) * (q**kp - 1)
     if examined > PAIR_LIMIT:
@@ -184,7 +186,7 @@ def error_capability(code: CyclicOrbitCode, k_prime: int) -> int:
     """
     if k_prime < 1:
         raise DomainError("k' must be >= 1")
-    params = _code_info(code).params
+    params = _tables(code).params
     if params.min_distance is None:
         return k_prime - 1
     delta = params.min_distance // 2
@@ -200,7 +202,8 @@ def decode_lf(R: Subspace, code: CyclicOrbitCode, f: int | None = None) -> Decod
     _check_received(R, code)
     if f is None:
         f = error_capability(code, R.dim)
-    ctx, params, u_places, _ = _code_info(code)
+    params, u_places, _ = _tables(code)
+    ctx = code.block_structure.compiled.blocks[0][2]
     card = params.cardinality
     k, kp = code.k, R.dim
     _check_f(f, kp)

@@ -129,27 +129,28 @@ def test_naive_cap_contract(monkeypatch, spec, rows):
 def test_naive_oracle_reads_no_cycle_index(monkeypatch):
     from orbitcodes.fields import FieldCtx, Lanes
 
-    codes = [
-        make_code(single_block(X6_X_1), [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 1, 0)]),
-        make_code(
-            ElementaryDivisorSpec.make(P2, [(X2_X_1, 2), (X3_X_1, 1)]), [(1, 0, 1, 1, 0, 1, 0)]
-        ),
-        make_code(single_block(X2_X_2_F3), [(1, 2)]),
+    blocks = [
+        (P2, [(X6_X_1, 1)], [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 1, 0)]),
+        (P2, [(X2_X_1, 2), (X3_X_1, 1)], [(1, 0, 1, 1, 0, 1, 0)]),
+        (P3, [(X2_X_2_F3, 1)], [(1, 2)]),
+        (P3, [(poly_of(3, [1, 1]), 1), (X2_X_2_F3, 1)], [(1, 1, 2)]),
     ]
+    codes = [make_code(ElementaryDivisorSpec.make(f, b), rows) for f, b, rows in blocks]
     fast = [analyze(c, method="fast", with_distribution=True) for c in codes]
 
-    def refuse(*args, **kwargs):
+    def refuse(self):
         raise AssertionError("the oracle used the fast analyzer's machinery")
 
-    monkeypatch.setattr(FieldCtx, "cycle_of_code", refuse)
-    monkeypatch.setattr(FieldCtx, "cycle_groups", refuse)
-    monkeypatch.setattr(FieldCtx, "mul_x_power_code", refuse)
-    # the placements cached by the fast runs above hold the unpatched bound
-    # methods, and each of those reads the index through _index
-    monkeypatch.setattr(FieldCtx, "_index", refuse)
-    monkeypatch.setattr(Lanes, "span", refuse)
-    monkeypatch.setattr(Lanes, "points", refuse)
-    assert [analyze_naive(c) for c in codes] == fast
+    # refused on read, not only on call: a placer built from a block context
+    # reads its cycle_of_code or cycle_groups
+    for name in ("cycle_of_code", "cycle_groups", "mul_x_power_code", "_index"):
+        monkeypatch.setattr(FieldCtx, name, property(refuse))
+    monkeypatch.setattr(Lanes, "span", property(refuse))
+    monkeypatch.setattr(Lanes, "points", property(refuse))
+    # the codes above keep the compiled forms the fast runs built; these
+    # specs are new, so the oracle is the first reader of theirs
+    fresh = [make_code(ElementaryDivisorSpec.make(f, b), rows) for f, b, rows in blocks]
+    assert [analyze_naive(c) for c in codes + fresh] == fast + fast
 
 
 def test_regime_labels():
@@ -329,6 +330,27 @@ def test_packed_entry_equals_analyze(case):
             code, with_distribution=with_distribution
         )
     assert analyze_packed(spec, codes, True) == analyze_naive(code)
+
+
+def test_packed_entry_refuses_an_empty_or_dependent_basis():
+    # rows of a dependent basis span a smaller U, and its combinations
+    # include zero: each probe must be refused, naming the argument, and
+    # never answered for the wrong U
+    f2_two = ElementaryDivisorSpec.make(P2, [(X3_X_1, 1), (X4_X_1, 1)])
+    f3_two = ElementaryDivisorSpec.make(P3, [(poly_of(3, [1, 1]), 1), (X2_X_2_F3, 1)])
+    probes = [
+        (f2_two, [1, 1]),  # CodeParams(7, 2, (1, 6, 0)) before the check
+        (f2_two, [1, 2, 3]),
+        (f3_two, [1, 1]),
+        (f3_two, [1, 2]),  # 2 is twice the vector 1
+        (single_block(X4_X_1), [1, 1]),
+        (single_block(X2_X_2_F3), [1, 2]),  # k = n
+        (single_block(X2_X_1), [1, 2, 3]),  # k > n
+    ]
+    for spec, codes in probes + [(spec, []) for spec, _ in probes]:
+        for with_distribution in (False, True):
+            with pytest.raises(DomainError, match="codes"):
+                analyze_packed(spec, codes, with_distribution)
 
 
 def test_q3_primitive_stabilizer_contains_minus_one():

@@ -181,7 +181,8 @@ def test_spec_validation():
 def test_spec_dimensions_and_orders():
     spec = ElementaryDivisorSpec.make(P2, [(X4_X_1, 1), (X6_X_1, 1)])
     assert spec.n == 10
-    assert spec.block_degrees == (4, 6)
+    # (bit offset, bit mask, p^e) of each block: one bit per coordinate over F_2
+    assert spec.compiled.layout == ((0, 0b1111, X4_X_1), (4, 0b111111, X6_X_1))
     assert spec.generator_order() == math.lcm(15, 63)
     sq = ElementaryDivisorSpec.make(P2, [(X2_X_1, 2)])
     assert sq.n == 4
@@ -190,15 +191,26 @@ def test_spec_dimensions_and_orders():
 
 
 def test_spec_pickles_its_fields_only():
-    # n and the hash are computed once per object; a --jobs worker gets the
-    # fields and computes them again
-    spec = ElementaryDivisorSpec.make(P2, [(X4_X_1, 1), (X2_X_1, 2)])
-    fresh = pickle.dumps(ElementaryDivisorSpec.make(P2, [(X4_X_1, 1), (X2_X_1, 2)]))
-    assert (spec.n, hash(spec)) == (8, hash((spec.field, spec.blocks)))
-    assert pickle.dumps(spec) == fresh
-    back = pickle.loads(fresh)
-    assert back == spec and hash(back) == hash(spec) and back.n == 8
-    assert back != ElementaryDivisorSpec.make(P2, [(X4_X_1, 1), (X2_X_1, 1)])
+    # n and the compiled form are built once per object; a --jobs worker
+    # gets the fields and builds them again
+    cases = [
+        (P2, [(X4_X_1, 1), (X2_X_1, 2)], 8, None),
+        # x = -1 and a primitive cubic with -1 = x^13
+        (P3, [(poly_of(3, [1, 1]), 1), (poly_of(3, [1, 2, 0, 1]), 1)], 4, 13),
+    ]
+    for field, blocks, n, sigma in cases:
+        spec = ElementaryDivisorSpec.make(field, blocks)
+        fresh = pickle.dumps(ElementaryDivisorSpec.make(field, blocks))
+        c = spec.compiled
+        assert (spec.n, hash(spec)) == (n, hash((spec.field, spec.blocks)))
+        # every part, sigma and the placer included, before pickling
+        assert (c.generator, c.order) == (build_generator(spec), spec.generator_order())
+        assert c.blocks and c.group and c.sigma == sigma
+        assert pickle.dumps(spec) == fresh
+        back = pickle.loads(fresh)
+        assert back == spec and hash(back) == hash(spec) and back.n == n
+        assert "compiled" not in vars(back) and back.compiled.generator == c.generator
+        assert back != ElementaryDivisorSpec.make(field, [(p, e + 1) for p, e in blocks])
 
 
 def test_build_generator_block_layout():

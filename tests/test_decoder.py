@@ -1,5 +1,6 @@
 """Decoder behavior: pair-scan counts, L_f restriction, radius guarantees."""
 
+import pickle
 import random
 from unittest import mock
 
@@ -123,6 +124,17 @@ def test_no_candidate_at_all():
     assert res.distance == 2
     assert not res.unique
     assert res.candidates_examined == 1
+
+
+def test_decoded_code_pickles_with_its_tables():
+    # a code keeps its decoder tables after the first decode, and a --jobs
+    # worker receives the code by pickle, so the tables hold no field context
+    code = spread_code()
+    R = codeword(code, 5)
+    first = decode_exhaustive(R, code), decode_lf(R, code)
+    back = pickle.loads(pickle.dumps(code))
+    assert back == code
+    assert (decode_exhaustive(R, back), decode_lf(R, back)) == first
 
 
 def test_received_validation():

@@ -3,7 +3,7 @@
 When M^sigma = zeta I for a primitive root zeta of F_q, the fast analyzer
 places one vector per 1-dim subspace of U and counts positions mod
 L/(q - 1); otherwise it places every nonzero vector. Each spec below is
-pinned to the route `_scalar_shift` picks for it, and every start must give
+pinned to the route its compiled form's `sigma` picks, and every start must give
 exactly what the naive orbit walk gives, with and without the distribution.
 """
 
@@ -21,7 +21,6 @@ from orbitcodes import (
     analyze_naive,
     make_code,
 )
-from orbitcodes.analysis import _scalar_shift
 from orbitcodes.fields import lanes
 
 from conftest import poly_of
@@ -61,7 +60,7 @@ ROUTES = [
 
 @pytest.mark.parametrize("spec, sigma", ROUTES)
 def test_scalar_shift_route(spec, sigma):
-    assert _scalar_shift(spec) == sigma
+    assert spec.compiled.sigma == sigma
     if sigma is not None:
         # x^sigma is the scalar zeta in every block: the generator power is zeta I
         q, n = spec.field.q, spec.n
@@ -130,6 +129,6 @@ def test_unindexable_idle_block_keeps_the_general_route(monkeypatch):
     # start that lives in the other blocks
     monkeypatch.setattr(fields, "CYCLE_INDEX_LIMIT", 16)
     spec = spec_of(3, [((2, 2, 2, 1), 1), ((1, 1), 1)])  # 26 nonzero elements, then x = -1
-    assert _scalar_shift(spec) is None
+    assert spec.compiled.sigma is None
     code = make_code(spec, [[0, 0, 0, 1]])
     assert analyze(code, method="fast", with_distribution=True) == analyze_naive(code)
