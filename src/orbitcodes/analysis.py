@@ -220,8 +220,8 @@ def analyze_packed(
 ) -> CodeParams:
     """Exact parameters of U<M> for the generator M of `spec`, with U the
     span of `codes`: linearly independent packed rows of F_q^n (see
-    fields.Lanes), in any basis of U. Empty or dependent rows raise
-    DomainError.
+    fields.Lanes), in any basis of U. Empty or dependent rows, and ints
+    that are not packed vectors of F_q^n, raise DomainError.
 
     Within an M-cycle of length L, vM^h = w for w on the same cycle exactly
     when h = P_w - P_v mod L, so count(h) sums, over the M-cycles, the
@@ -233,6 +233,7 @@ def analyze_packed(
     k = len(codes)
     compiled = spec.compiled
     packing = compiled.lanes
+    packing.check(codes, "codes")
     if not 0 < k < spec.n:
         # no rows, or the whole space, fixed by every generator; checked
         # before the placement, which indexes the blocks

@@ -17,6 +17,7 @@ from functools import cached_property, partial
 from .errors import DomainError, InternalInvariantError, SingularMatrixError
 from .fields import (
     FieldCtx,
+    PackedRing,
     Poly,
     PrimeField,
     factor_poly,
@@ -33,7 +34,11 @@ MAX_CLASSIFY_DIM = 12
 
 
 def poly_pow(p: Poly, e: int) -> Poly:
-    return math.prod([p] * e, start=Poly.make(p.field, [1]))
+    """p^e for e >= 0, by square and multiply on packed codes in
+    F_q[x]/(x^N) with N above the degree of p^e, where nothing of p^e is
+    reduced away."""
+    ring = PackedRing(Poly.make(p.field, [0] * (max(p.degree, 0) * e + 1) + [1]))
+    return Poly.make(p.field, ring.lanes.unpack(ring.pow_code(ring.lanes.pack(p.coeffs), e)))
 
 
 @dataclass(frozen=True)

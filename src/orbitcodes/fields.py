@@ -2,7 +2,8 @@
 
 A vector of F_q^n and an element of F_q[x]/(f) with deg f = n are the same
 thing: a coefficient vector (ascending powers of x), stored packed into one
-int (Lanes). Ring elements, subspace bases and every inner loop use that
+int (Lanes). Ring elements, subspace bases, every inner loop and the
+polynomial arithmetic (sums, products, division, both Euclids) use that
 int; coefficient tuples appear only at the public boundary. All arithmetic
 is exact integer arithmetic mod q; no floating point anywhere.
 """
@@ -231,10 +232,8 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "Poly") -> "Poly":
-        m = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(m)]
-        )
+        L = lanes(self.field.q, max(len(self.coeffs), len(other.coeffs)))
+        return Poly.make(self.field, L.unpack(L.add(L.pack(self.coeffs), L.pack(other.coeffs))))
 
     def __neg__(self) -> "Poly":
         return Poly.make(self.field, [-c for c in self.coeffs])
@@ -243,35 +242,15 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly(self.field, ())
-        q = self.field.q
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % q
-        return Poly.make(self.field, out)
+        L = lanes(self.field.q, max(len(self.coeffs) + len(other.coeffs) - 1, 0))
+        return Poly.make(self.field, L.unpack(L.mul(L.pack(self.coeffs), L.pack(other.coeffs))))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
             raise NonUnitError("polynomial division by zero")
-        q = self.field.q
-        rem = list(self.coeffs)
-        dq = [0] * max(len(rem) - len(other.coeffs) + 1, 1)
-        lead_inv = self.field.inv(other.coeffs[-1])
-        dother = len(other.coeffs) - 1
-        while len(rem) >= len(other.coeffs) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(other.coeffs):
-                break
-            shift = len(rem) - 1 - dother
-            factor = (rem[-1] * lead_inv) % q
-            dq[shift] = factor
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = (rem[shift + i] - factor * b) % q
-        return Poly.make(self.field, dq), Poly.make(self.field, rem)
+        L = lanes(self.field.q, len(self.coeffs))
+        quo, rem = L.divmod(L.pack(self.coeffs), L.pack(other.coeffs))
+        return Poly.make(self.field, L.unpack(quo)), Poly.make(self.field, L.unpack(rem))
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -303,49 +282,6 @@ class Poly:
         return " + ".join(terms)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    field = a.field
-    one = Poly.make(field, [1])
-    zero = Poly(field, ())
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero:
-        quot, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quot * s1
-        t0, t1 = t1, t0 - quot * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    # normalize to monic gcd
-    lead_inv = Poly.make(field, [field.inv(r0.coeffs[-1])])
-    return r0.monic(), lead_inv * s0, lead_inv * t0
-
-
-def _gcd_code(a: int, b: int, L: Lanes) -> int:
-    """A gcd (not made monic) of two packed polynomials of at most as many
-    coefficients as L has lanes, by Euclid on codes."""
-    q, w, m = L.q, L.w, L.m
-    while b:
-        db = (b.bit_length() - 1) // w
-        lead_inv = pow((b >> db * w) & m, q - 2, q)
-        while a:
-            da = (a.bit_length() - 1) // w
-            if da < db:
-                break
-            c = (a >> da * w) & m
-            a = L.add(a, L.scale(b << (da - db) * w, q - c * lead_inv % q))
-        a, b = b, a
-    return a
-
-
 @lru_cache(maxsize=128)
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over F_q: gcd(x^(q^d) - x, f) = 1 for d up to deg/2.
@@ -359,15 +295,16 @@ def is_irreducible(f: Poly) -> bool:
     if f.degree == 1:
         return True
     ring = PackedRing(f)
-    n, q = ring.n, ring.q
-    big = lanes(q, n + 1)
-    fcode = big.pack(f.coeffs)
+    q, wide = ring.q, ring.wide
     x = ring.mul_by_x_code(1)
-    neg_x = big.scale(x, q - 1)
+    neg_x = wide.scale(x, q - 1)
     frob = x
-    for _ in range(n // 2):
+    for _ in range(ring.n // 2):
         frob = ring.pow_code(frob, q)
-        if _gcd_code(fcode, big.add(frob, neg_x), big) >> big.w:
+        a, b = ring.f_code, wide.add(frob, neg_x)
+        while b:
+            a, b = b, wide.divmod(a, b)[1]
+        if a >> wide.w:
             return False
     return True
 
@@ -428,8 +365,10 @@ class Lanes:
     one bit, so a vector is its bitmask and adding is XOR. For odd q a lane
     holds the sum of two coordinates below a guard bit, so two vectors add
     mod q with a few whole-int operations and no per-coordinate loop.
-    pack and unpack convert to and from coefficient tuples at the public
-    boundary.
+    The same int is a polynomial of degree < n, so mul and divmod are the
+    polynomial product and long division, each exact only while its
+    operands and its result fit in the n lanes. pack and unpack convert to
+    and from coefficient tuples at the public boundary.
     """
 
     def __init__(self, q: int, n: int):
@@ -437,11 +376,14 @@ class Lanes:
         self.w = w = 1 if q == 2 else (2 * q - 2).bit_length() + 1
         self.m = m = (1 << w) - 1
         self.shifts = tuple(range(0, w * n, w))
+        self._end = 1 << w * n
+        # the guard bit and q in every lane for odd q, from (2^(wn) - 1) / m,
+        # which is 1 in every lane; 0 for q = 2, whose lanes hold only 0 and 1
+        self._guards = guards = 0 if q == 2 else (self._end - 1) // m << (w - 1)
+        self._qs = qs = 0 if q == 2 else (self._end - 1) // m * q
         if q == 2:
             self.add = operator.xor
         else:
-            guards = sum(1 << (s + w - 1) for s in self.shifts)
-            qs = sum(q << s for s in self.shifts)
             down = w - 1
 
             def add(a: int, b: int) -> int:
@@ -503,6 +445,47 @@ class Lanes:
             if not c:
                 return out
             code = add(code, code)
+
+    def mul(self, a: int, b: int) -> int:
+        """The product of two packed polynomials (coefficients ascending, as
+        for vectors); the product must fit in the n lanes. Schoolbook over
+        the lanes of b."""
+        add, w, m = self.add, self.w, self.m
+        out, s = 0, 0
+        while b:
+            c = b & m
+            if c:
+                out = add(out, a << s if c == 1 else self.scale(a << s, c))
+            b >>= w
+            s += w
+        return out
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """(quotient, remainder) of two packed polynomials, b nonzero, a in
+        the n lanes: long division, clearing a's top lane while it is at or
+        above b's."""
+        q, w, m, add = self.q, self.w, self.m, self.add
+        db = (b.bit_length() - 1) // w
+        lead_inv = pow((b >> db * w) & m, q - 2, q)
+        quo = 0
+        while a:
+            da = (a.bit_length() - 1) // w
+            if da < db:
+                break
+            c = ((a >> da * w) & m) * lead_inv % q
+            quo |= c << (da - db) * w
+            a = add(a, self.scale(b << (da - db) * w, q - c))
+        return quo, a
+
+    def check(self, codes, name: str) -> None:
+        """DomainError naming name[i] for the first of codes that is not the
+        packed form of a vector of F_q^n: an int of n lanes, each below q.
+        Odd q tests every lane of a code at once, as add does."""
+        end, g, qs = self._end, self._guards, self._qs
+        for i, c in enumerate(codes):
+            if not (isinstance(c, int) and 0 <= c < end) or c & g or ((c | g) - qs) & g:
+                n = len(self.shifts)
+                raise DomainError(f"{name}[{i}] is not a packed vector of F_{self.q}^{n}")
 
     def span(self, rows) -> list[int]:
         """All q^k combinations sum(c_i * rows[i]) in itertools.product
@@ -606,10 +589,10 @@ def find_irreducible_with_order(field: PrimeField, degree: int, order: int) -> P
     q = field.q
     if degree < 1:
         raise NoSuchPolynomialError("degree must be >= 1")
-    if order < 1 or (q**degree - 1) % order != 0:
+    if order < 1 or pow(q, degree, order) != 1 % order:
         raise NoSuchPolynomialError(
             f"no degree-{degree} irreducible over GF({q}) has order {order}: "
-            f"order must divide {q**degree - 1}"
+            f"order must divide {q}^{degree} - 1"
         )
     if order == 1:
         if degree != 1:
@@ -634,14 +617,14 @@ def check_index_limit(q: int, n: int) -> int:
     """q^n - 1, the size of the cycle index of a degree-n modulus over
     GF(q), or DomainError when it is above CYCLE_INDEX_LIMIT. It costs
     nothing, so a caller that will index the ring calls it before any
-    polynomial scan."""
-    total = q**n - 1
-    if total > CYCLE_INDEX_LIMIT:
+    polynomial scan. q^n >= 2^n, so past the limit's bit length n alone
+    refuses, and q^n is never formed for a huge n."""
+    if n > CYCLE_INDEX_LIMIT.bit_length() or q**n - 1 > CYCLE_INDEX_LIMIT:
         raise DomainError(
             f"the cycle index of GF({q})[x] mod a degree-{n} polynomial (q={q}, degree {n}) "
-            f"would hold {total} elements, above the limit of {CYCLE_INDEX_LIMIT}"
+            f"would hold {q}^{n} - 1 elements, above the limit of {CYCLE_INDEX_LIMIT}"
         )
-    return total
+    return q**n - 1
 
 
 def least_primitive(field: PrimeField, degree: int) -> Poly:
@@ -651,7 +634,7 @@ def least_primitive(field: PrimeField, degree: int) -> Poly:
 
 class PackedRing:
     """F_q[x]/(f) on packed codes with no cycle index: multiply by x,
-    multiply and power. f is monic of degree n >= 1. The irreducibility and
+    multiply, power and inverse. f is monic of degree n >= 1. The irreducibility and
     order scans use it bare; FieldCtx extends it."""
 
     def __init__(self, modulus: Poly):
@@ -659,14 +642,16 @@ class PackedRing:
         self.field = modulus.field
         self.q = modulus.field.q
         self.n = modulus.degree
-        # x^n mod f, the single reduction row needed for multiply-by-x
-        self._xn_row = tuple((-modulus.coeff(i)) % self.q for i in range(self.n))
         self.lanes = lanes(self.q, self.n)
         # multiply-by-x on codes: shift every lane up one and fold the lane
-        # that falls off the top back in as c * x^n
+        # that falls off the top back in as c * x^n, where x^n = x^n - f mod f
         self._top = self.lanes.shifts[-1]
         self._mask = (1 << (self._top + self.lanes.w)) - 1
-        self._xn = self.lanes.pack(self._xn_row)
+        self._xn = self.lanes.pack([-c for c in modulus.coeffs[:-1]])
+        # room for f (n + 1 lanes) and a product of two elements (2n - 1):
+        # the ring product and Euclid against f run here
+        self.wide = lanes(self.q, 2 * self.n)
+        self.f_code = self.wide.pack(modulus.coeffs)
 
     def mul_by_x_code(self, code: int) -> int:
         """Multiplication by x on a packed element."""
@@ -679,25 +664,41 @@ class PackedRing:
         return L.add(code, self._xn if carry == 1 else L.scale(self._xn, carry))
 
     def mul_code(self, a: int, b: int) -> int:
-        """a * b on packed elements, by Horner over b's lanes from the top."""
-        L = self.lanes
-        out = 0
-        for s in reversed(L.shifts):
-            out = self.mul_by_x_code(out)
-            c = (b >> s) & L.m
-            if c:
-                out = L.add(out, L.scale(a, c))
-        return out
+        """a * b on packed elements: the product, reduced mod f."""
+        L = self.wide
+        return L.divmod(L.mul(a, b), self.f_code)[1]
 
     def pow_code(self, code: int, e: int) -> int:
-        """code^e on packed elements by square and multiply; e >= 0."""
+        """code^e on packed elements by square and multiply; e >= 0. The
+        square after the top bit of e is not taken."""
         mul, out = self.mul_code, 1
         while e:
             if e & 1:
                 out = mul(out, code)
-            code = mul(code, code)
             e >>= 1
+            if e:
+                code = mul(code, code)
         return out
+
+    def _bezout_code(self, code: int) -> tuple[int, int]:
+        """(g, t) for a packed element a: g a gcd of a and f, not made monic,
+        and t with a t = g mod f. Extended Euclid on codes: the remainders
+        run f, a, f mod a, ... and t follows them by t_(i+1) = t_(i-1) -
+        quotient * t_i, each of degree at most n."""
+        L = self.wide
+        r0, r1, t0, t1 = self.f_code, code, 0, 1
+        while r1:
+            quo, rem = L.divmod(r0, r1)
+            r0, r1 = r1, rem
+            t0, t1 = t1, L.add(t0, L.scale(L.mul(quo, t1), self.q - 1))
+        return r0, t0
+
+    def inv_code(self, code: int) -> int:
+        """The inverse of a packed element, by extended Euclid against f."""
+        g, t = self._bezout_code(code)
+        if g >> self.lanes.w:
+            raise NonUnitError(f"{self.lanes.unpack(code)} is not a unit mod {self.modulus}")
+        return self.lanes.scale(t, pow(g, -1, self.q))
 
 
 class FieldCtx(PackedRing):
@@ -724,7 +725,7 @@ class FieldCtx(PackedRing):
         self.is_primitive = is_primitive(modulus)
         self.zero = (0,) * self.n
         self.one = tuple(1 if i == 0 else 0 for i in range(self.n))
-        self.x = tuple(1 if i == 1 else 0 for i in range(self.n)) if self.n > 1 else self._xn_row
+        self.x = self.lanes.unpack(self.mul_by_x_code(1))
         # cycle index: slot of each nonzero code, the codes by slot, and the
         # first slot of each cycle (plus a closing sentinel)
         self._slot = None
@@ -762,14 +763,6 @@ class FieldCtx(PackedRing):
 
     def mul(self, a, b) -> tuple[int, ...]:
         return self.lanes.unpack(self.mul_code(self.pack(a), self.pack(b)))
-
-    def inv_code(self, code: int) -> int:
-        """The inverse of a packed element, by extended Euclid against f."""
-        a = self.to_poly(self.lanes.unpack(code))
-        g, s, _ = poly_ext_gcd(a, self.modulus)
-        if g.degree != 0:
-            raise NonUnitError(f"{a} is not a unit mod {self.modulus}")
-        return self.lanes.pack((s % self.modulus).coeffs)
 
     def inv(self, a) -> tuple[int, ...]:
         return self.lanes.unpack(self.inv_code(self.pack(a)))
@@ -957,10 +950,8 @@ class RingElem:
 
     @property
     def is_unit(self) -> bool:
-        if not self.code:
-            return False
-        ctx = self.ctx
-        return ctx.is_irreducible or poly_gcd(ctx.to_poly(self.coeffs), ctx.modulus).degree == 0
+        # the gcd with f is a constant; for a = 0 it is f itself
+        return not self.ctx._bezout_code(self.code)[0] >> self.ctx.lanes.w
 
     def __str__(self) -> str:
         return str(self.ctx.to_poly(self.coeffs))

@@ -1,7 +1,7 @@
 """Shared fixtures and small independent oracles for the test suite."""
 
 import random
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -37,14 +37,78 @@ def poly_of(q, coeffs):
     return Poly.make(PrimeField(q), coeffs)
 
 
+# -- tuple references for polynomial arithmetic ------------------------------
+# The library multiplies, divides and runs Euclid on packed codes; these are
+# the schoolbook routines on coefficient tuples those kernels are checked
+# against. They share no code with the library beyond Poly's normalization.
+
+
+def ref_add(a, b):
+    """a + b coefficient by coefficient."""
+    return Poly.make(a.field, [x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+
+
+def ref_mul(a, b):
+    """a * b by convolution of the coefficient tuples."""
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly.make(a.field, out)
+
+
+def ref_divmod(a, b):
+    """(quotient, remainder) by long division on tuples; b nonzero."""
+    q = a.field.q
+    rem = list(a.coeffs)
+    db = len(b.coeffs) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    lead_inv = pow(b.coeffs[-1], q - 2, q)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        c = rem[shift + db] * lead_inv % q
+        quo[shift] = c
+        for i, y in enumerate(b.coeffs):
+            rem[shift + i] = (rem[shift + i] - c * y) % q
+    return Poly.make(a.field, quo), Poly.make(a.field, rem)
+
+
+def ref_mod(a, b):
+    return ref_divmod(a, b)[1]
+
+
+def ref_ext_gcd(a, b):
+    """(g, s, t) with s a + t b = g, g monic (zero when a = b = 0)."""
+    field = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.make(field, [1]), Poly(field, ())
+    t0, t1 = Poly(field, ()), Poly.make(field, [1])
+    while not r1.is_zero:
+        quo, rem = ref_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - ref_mul(quo, s1)
+        t0, t1 = t1, t0 - ref_mul(quo, t1)
+    if r0.is_zero:
+        return r0, s0, t0
+    lead_inv = Poly.make(field, [field.inv(r0.coeffs[-1])])
+    return r0.monic(), ref_mul(lead_inv, s0), ref_mul(lead_inv, t0)
+
+
+def ref_pow(p, e):
+    """p^e by e products; e >= 0."""
+    out = Poly.make(p.field, [1])
+    for _ in range(e):
+        out = ref_mul(out, p)
+    return out
+
+
 def pow_mod(base, e, mod):
-    """base^e mod `mod` by square and multiply on Poly; e >= 0."""
+    """base^e mod `mod` by square and multiply on the tuple reference; e >= 0."""
     result = Poly.make(mod.field, [1])
-    acc = base % mod
+    acc = ref_mod(base, mod)
     while e:
         if e & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
+            result = ref_mod(ref_mul(result, acc), mod)
+        acc = ref_mod(ref_mul(acc, acc), mod)
         e >>= 1
     return result
 

@@ -346,6 +346,15 @@ def test_packed_entry_refuses_an_empty_or_dependent_basis():
         (single_block(X4_X_1), [1, 1]),
         (single_block(X2_X_2_F3), [1, 2]),  # k = n
         (single_block(X2_X_1), [1, 2, 3]),  # k > n
+        # ints that are no packed vector of F_q^n: past the n lanes, or a
+        # lane at or above q
+        (single_block(X3_X_1), [8]),
+        (single_block(X3_X_1), [1, 16]),
+        (single_block(X2_1_F3), [15]),
+        (single_block(X2_1_F3), [1, 48]),
+        (f3_two, [1, 2, 3]),
+        (single_block(X2_1_F3), [3]),  # independent, but lane 0 holds 3
+        (ElementaryDivisorSpec.make(P2, [(X3_X_1, 1), (poly_of(2, [1, 1]), 1)]), [16]),
     ]
     for spec, codes in probes + [(spec, []) for spec, _ in probes]:
         for with_distribution in (False, True):

@@ -26,7 +26,18 @@ from orbitcodes import (
 )
 from orbitcodes.canonical import MAX_CLASSIFY_DIM, poly_pow
 
-from conftest import P2, P3, X2_X_1, X3_X_1, X4_NONPRIM, X4_X_1, X6_X_1, poly_of
+from conftest import (
+    P2,
+    P3,
+    X2_X_1,
+    X3_X_1,
+    X4_NONPRIM,
+    X4_X_1,
+    X6_X_1,
+    poly_of,
+    ref_mul,
+    ref_pow,
+)
 
 SEED = 90125
 
@@ -40,9 +51,9 @@ def poly_det(entries, q):
     acc = Poly.make(field, [0])
     for j in range(m):
         minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = entries[0][j] * poly_det(minor, q)
+        term = ref_mul(entries[0][j], poly_det(minor, q))
         if j % 2:
-            term = Poly.make(field, [q - 1]) * term
+            term = ref_mul(Poly.make(field, [q - 1]), term)
         acc = acc + term
     return acc
 
@@ -148,7 +159,7 @@ def test_factor_poly_reassembles(q, max_deg, cases):
             assert is_irreducible(p)
             assert p.is_monic
             for _ in range(mult):
-                prod = prod * p
+                prod = ref_mul(prod, p)
         assert prod == f
         # ascending order by (degree, encoding)
         keys = [(p.degree, p.encoding()) for p, _ in factors]
@@ -249,6 +260,27 @@ def test_build_generator_matches_tuple_assembly(blocks):
     assert build_generator(spec) == Mat.make(spec.field.q, rows)
 
 
+def _lucas(e, i, q):
+    """C(e, i) mod q by Lucas's theorem: the product over the base-q digits."""
+    out = 1
+    while e or i:
+        out, e, i = out * math.comb(e % q, i % q) % q, e // q, i // q
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_poly_pow_of_a_huge_exponent_by_lucas(q):
+    # (x + 1)^e has C(e, i) mod q at x^i; over F_2 that is 1 exactly when
+    # every bit of i is a bit of e
+    e = 20000
+    start = time.perf_counter()
+    p = poly_pow(poly_of(q, [1, 1]), e)
+    assert time.perf_counter() - start < 1
+    assert p.coeffs == tuple(_lucas(e, i, q) for i in range(e + 1))
+    if q == 2:
+        assert p.coeffs == tuple(int(i & e == i) for i in range(e + 1))
+
+
 def test_build_generator_rejects_singular():
     spec = ElementaryDivisorSpec.make(P2, [(poly_of(2, [0, 1]), 1)])  # p = x
     with pytest.raises(SingularMatrixError):
@@ -273,9 +305,10 @@ def test_generator_order_matches_matrix_order(blocks, order):
     assert spec.generator_order() == order
     assert matrix_order(build_generator(spec)) == order
     # chi is the product of the elementary divisors
-    assert char_poly(build_generator(spec)) == math.prod(
-        (poly_pow(p, e) for p, e in blocks), start=Poly.make(spec.field, [1])
-    )
+    chi = Poly.make(spec.field, [1])
+    for p, e in blocks:
+        chi = ref_mul(chi, ref_pow(p, e))
+    assert char_poly(build_generator(spec)) == chi
 
 
 def _primes_dividing(m):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from orbitcodes import (
     make_code,
 )
 from orbitcodes.cli import main
-from orbitcodes.fields import RHO_STEP_LIMIT
+from orbitcodes.fields import CYCLE_INDEX_LIMIT, RHO_STEP_LIMIT
 
 from conftest import X4_X_1, X6_X_1, single_block
 
@@ -191,6 +192,9 @@ def test_spread_nonprimitive(capsys):
             + ["--seed", "1", "--trials", "1"],
             40,
         ),
+        # 2^15000 - 1 has more digits than Python prints: the message must
+        # not form it
+        (["search", "--q", "2", "--n", "15000", "--k", "2", "--seed", "1", "--trials", "1"], 15000),
     ],
 )
 def test_oversized_field_refused_at_the_index_limit(capsys, argv, degree):
@@ -210,6 +214,19 @@ def test_huge_q_refused_at_the_rho_step_limit(capsys, tmp_path):
     rc, out, err = run(capsys, ["analyze", "--code", str(path)])
     assert rc == 1 and out == ""
     assert f"limit of {RHO_STEP_LIMIT} squarings" in err
+
+
+def test_huge_exponent_refused_at_the_index_limit(capsys, tmp_path):
+    # one block (x + 1)^20000: its power is built by squaring, and the first
+    # placement refuses the cycle index of 2^20000 - 1 elements
+    spec = {"q": 2, "blocks": [{"poly": "1 1", "exp": 20000}], "start": ["1" + " 0" * 19999]}
+    path = tmp_path / "huge_exp.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["analyze", "--code", str(path)])
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and out == ""
+    assert "(q=2, degree 20000)" in err and f"limit of {CYCLE_INDEX_LIMIT}" in err
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -42,6 +42,8 @@ from conftest import (
     mul_by_x,
     poly_of,
     pow_mod,
+    ref_mod,
+    ref_mul,
 )
 
 SEED = 1729
@@ -221,7 +223,7 @@ def test_poly_order_of_large_reducible_modulus():
 def _trial_irreducible(f):
     """Reference: no monic polynomial of degree 1..deg/2 divides f."""
     return all(
-        not (f % g).is_zero
+        not ref_mod(f, g).is_zero
         for d in range(1, f.degree // 2 + 1)
         for g in monic_polys(f.field, d)
     )
@@ -230,9 +232,9 @@ def _trial_irreducible(f):
 def _stepped_order(f):
     """Reference: the least e >= 1 with x^e = 1 mod f, stepping e."""
     x, one = Poly.make(f.field, [0, 1]), Poly.make(f.field, [1])
-    acc, e = x % f, 1
+    acc, e = ref_mod(x, f), 1
     while acc != one:
-        acc, e = (acc * x) % f, e + 1
+        acc, e = ref_mod(ref_mul(acc, x), f), e + 1
     return e
 
 
@@ -332,6 +334,9 @@ def test_find_irreducible_with_order():
         find_irreducible_with_order(P2, 4, 7)
     with pytest.raises(NoSuchPolynomialError):
         find_irreducible_with_order(P2, 5, 6)
+    # 2^15000 - 1 has more digits than an int may print
+    with pytest.raises(NoSuchPolynomialError, match=r"order must divide 2\^15000 - 1"):
+        find_irreducible_with_order(P2, 15000, 19)
 
 
 def test_least_primitive_is_first_in_encoding_order():

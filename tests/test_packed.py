@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitcodes import (
@@ -33,10 +33,21 @@ from orbitcodes import (
 )
 from orbitcodes.decoder import lf_set, lf_vector_count
 from orbitcodes.errors import DomainError, NonUnitError
-from orbitcodes.fields import is_irreducible, lanes, poly_gcd, primitive_root
+from orbitcodes.canonical import poly_pow
+from orbitcodes.fields import PackedRing, is_irreducible, lanes, primitive_root
 from orbitcodes.linalg import intersection_dim
 
-from conftest import mul_by_x, poly_of, pow_mod
+from conftest import (
+    mul_by_x,
+    poly_of,
+    pow_mod,
+    ref_add,
+    ref_divmod,
+    ref_ext_gcd,
+    ref_mod,
+    ref_mul,
+    ref_pow,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -370,7 +381,8 @@ def ring_pairs(draw):
 def test_mul_code_matches_poly_product(case):
     ctx, a, b = case
     got = ctx.mul_code(ctx.pack(a), ctx.pack(b))
-    assert ctx.to_poly(ctx.lanes.unpack(got)) == (ctx.to_poly(a) * ctx.to_poly(b)) % ctx.modulus
+    expect = ref_mod(ref_mul(ctx.to_poly(a), ctx.to_poly(b)), ctx.modulus)
+    assert ctx.to_poly(ctx.lanes.unpack(got)) == expect
     assert ctx.mul(a, b) == ctx.lanes.unpack(got)
 
 
@@ -379,27 +391,98 @@ def test_mul_code_matches_poly_product(case):
 def test_ring_elem_matches_poly_arithmetic(case, e):
     ctx, a, b = case
     f = ctx.modulus
-    pa, pb = ctx.to_poly(a) % f, ctx.to_poly(b) % f
+    pa, pb = ref_mod(ctx.to_poly(a), f), ref_mod(ctx.to_poly(b), f)
     A, B = phi(a, ctx), phi(b, ctx)
+    one = Poly.make(f.field, [1])
 
     def poly(u):
         return ctx.to_poly(u.coeffs)
 
     assert phi_inv(A) == tuple(x % ctx.q for x in a) and A == phi(phi_inv(A), ctx)
-    assert poly(A + B) == (pa + pb) % f
-    assert poly(A - B) == (pa - pb) % f
-    assert poly(-A) == (-pa) % f
-    assert poly(A * B) == (pa * pb) % f
+    assert poly(A + B) == ref_mod(ref_add(pa, pb), f)
+    assert poly(A - B) == ref_mod(ref_add(pa, -pb), f)
+    assert poly(-A) == ref_mod(-pa, f)
+    assert poly(A * B) == ref_mod(ref_mul(pa, pb), f)
     assert poly(A**e) == pow_mod(pa, e, f)
     assert A.is_zero == pa.is_zero
-    unit = not pb.is_zero and poly_gcd(pb, f).degree == 0
+    unit = ref_ext_gcd(pb, f)[0] == one
     assert B.is_unit == unit
     if unit:
-        assert (poly(A / B) * pb) % f == pa
-        assert (poly(B**-e) * pow_mod(pb, e, f)) % f == Poly.make(f.field, [1])
+        assert ref_mod(ref_mul(poly(A / B), pb), f) == pa
+        assert ref_mod(ref_mul(poly(B**-e), pow_mod(pb, e, f)), f) == one
     else:
         with pytest.raises(NonUnitError):
             A / B
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials over one field, each of degree below 41: zero,
+    constants and leading coefficients other than 1 all come up."""
+    field = PrimeField(draw(st.sampled_from(FIELDS)))
+    coeffs = st.lists(st.integers(0, field.q - 1), max_size=41)
+    return Poly.make(field, draw(coeffs)), Poly.make(field, draw(coeffs))
+
+
+# zero by zero, zero by a constant, a constant by another, and a divisor
+# with leading coefficient q - 1 over each odd q
+EDGE_PAIRS = [
+    (poly_of(2, []), poly_of(2, [])),
+    (poly_of(3, []), poly_of(3, [2])),
+    (poly_of(5, [4]), poly_of(5, [3])),
+    (poly_of(5, [1, 2, 3, 4, 0, 1]), poly_of(5, [2, 0, 4])),
+    (poly_of(257, [5] * 41), poly_of(257, [1, 256])),
+]
+
+
+def _with_edge_pairs(test):
+    for pair in EDGE_PAIRS:
+        test = example(pair)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(poly_pairs())
+@_with_edge_pairs
+def test_poly_arithmetic_matches_tuple_reference(case):
+    a, b = case
+    assert a + b == b + a == ref_add(a, b)
+    assert a - b == ref_add(a, -b)
+    assert a * b == b * a == ref_mul(a, b)
+    if b.is_zero:
+        with pytest.raises(NonUnitError, match="polynomial division by zero"):
+            divmod(a, b)
+    else:
+        assert divmod(a, b) == (a // b, a % b) == ref_divmod(a, b)
+
+
+@SETTINGS
+@given(poly_pairs())
+@_with_edge_pairs
+def test_ring_inverse_matches_tuple_ext_gcd(case):
+    # the extended Euclid on codes, against a monic modulus of any
+    # factorization: a unit exactly when the reference gcd is 1, and then
+    # the inverse is the reference cofactor
+    a, f = case
+    assume(f.degree >= 1)
+    f = f.monic()
+    ring = PackedRing(f)
+    a = ref_mod(a, f)
+    g, s, _ = ref_ext_gcd(a, f)
+    code = ring.lanes.pack(a.coeffs)
+    if g == poly_of(f.field.q, [1]):
+        assert Poly.make(f.field, ring.lanes.unpack(ring.inv_code(code))) == ref_mod(s, f)
+    else:
+        with pytest.raises(NonUnitError):
+            ring.inv_code(code)
+
+
+@SETTINGS
+@given(poly_pairs(), st.integers(0, 8))
+@example((poly_of(3, []), poly_of(3, [])), 0)
+def test_poly_pow_matches_repeated_products(case, e):
+    p = case[0]
+    assert poly_pow(p, e) == ref_pow(p, e)
 
 
 @SETTINGS
