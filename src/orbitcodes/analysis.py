@@ -62,13 +62,19 @@ class CyclicOrbitCode:
     """An orbit code U<M>. Build through make_code/general_code.
 
     block_structure describes M as diagonal companion blocks when known;
-    the fast analyzer and O(n)-per-row orbit stepping need it. A code
-    built from a bare matrix has block_structure None.
+    the fast analyzer, O(n)-per-row orbit stepping and the generator (built
+    on first read) come from it. A code built from a bare matrix has
+    block_structure None and keeps the matrix.
     """
 
-    generator: Mat
     start: Subspace
     block_structure: ElementaryDivisorSpec | None
+    matrix: Mat | None = None
+
+    @property
+    def generator(self) -> Mat:
+        spec = self.block_structure
+        return self.matrix if spec is None else spec.compiled.generator
 
     @property
     def q(self) -> int:
@@ -105,7 +111,7 @@ def _regime(spec: ElementaryDivisorSpec) -> str:
 
 def make_code(spec: ElementaryDivisorSpec, start_rows) -> CyclicOrbitCode:
     """Orbit code from elementary-divisor data and start subspace rows."""
-    gen = spec.compiled.generator
+    spec.compiled  # the layout only; it refuses a block with p(0) = 0
     if isinstance(start_rows, Subspace):
         start = start_rows
         if start.n != spec.n or start.q != spec.field.q:
@@ -117,7 +123,7 @@ def make_code(spec: ElementaryDivisorSpec, start_rows) -> CyclicOrbitCode:
             raise DomainError("start rows must be linearly independent")
     if start.dim < 1:
         raise DomainError("start subspace must have dimension >= 1")
-    return CyclicOrbitCode(gen, start, spec)
+    return CyclicOrbitCode(start, spec)
 
 
 def general_code(generator: Mat, start: Subspace) -> CyclicOrbitCode:
@@ -130,43 +136,18 @@ def general_code(generator: Mat, start: Subspace) -> CyclicOrbitCode:
         raise DomainError("start subspace must have dimension >= 1")
     if generator.rank() != generator.nrows:
         raise DomainError("generator must be invertible")
-    return CyclicOrbitCode(generator, start, None)
+    return CyclicOrbitCode(start, None, generator)
 
 
 # -- orbit stepping ---------------------------------------------------------
-
-
-def _make_stepper(code: CyclicOrbitCode):
-    """Returns packed row -> packed row after one application of the
-    generator: one multiply-by-x per block, or a matrix product for a bare
-    matrix. It reads no cycle index."""
-    if code.block_structure is None:
-        return code.generator.apply
-    blocks = [(s, mask, ctx.mul_by_x_code) for s, mask, ctx in code.block_structure.compiled.blocks]
-    if len(blocks) == 1:
-        return blocks[0][2]
-
-    def step_row(v):
-        out = 0
-        for s, mask, mul_x in blocks:
-            out |= mul_x((v >> s) & mask) << s
-        return out
-
-    return step_row
 
 
 def codeword(code: CyclicOrbitCode, exponent: int) -> Subspace:
     """The orbit element U M^exponent, canonicalized."""
     if code.block_structure is None:
         return code.start.transform(code.generator**exponent)
-    blocks = code.block_structure.compiled.blocks
-    rows = []
-    for v in code.start.codes:
-        out = 0
-        for s, mask, ctx in blocks:
-            out |= ctx.mul_x_power_code((v >> s) & mask, exponent) << s
-        rows.append(out)
-    return Subspace.from_packed(code.q, code.n, rows)
+    power = code.block_structure.compiled.power
+    return Subspace.from_packed(code.q, code.n, [power(v, exponent) for v in code.start.codes])
 
 
 def _walk(code: CyclicOrbitCode):
@@ -176,7 +157,8 @@ def _walk(code: CyclicOrbitCode):
     r = k - dim(U cap UM^h), and r = 0 means the orbit has closed. An
     orbit of more than ORBIT_CAP codewords raises OrbitCapError.
     """
-    step_row = _make_stepper(code)
+    spec = code.block_structure
+    step_row = code.generator.apply if spec is None else spec.compiled.step
     start = code.start
     # start.residual_rank(rows), with the packing and pivots bound once
     echelon, piv, k = lanes(code.q, code.n).echelon, start.pivot_rows, start.dim

@@ -89,12 +89,15 @@ class CompiledSpec:
     """A spec's generator M as diagonal companion blocks p^e, M multiplying
     block i by x in F_q[x]/(p^e). A packed vector of F_q^n (fields.Lanes)
     holds block i's part at bit offset s_i under mask m_i: `layout` lists
-    (s_i, m_i, p^e) and is the one place the offsets are worked out. The
-    rest is built on first read and kept; the naive oracle never reads the
-    placer (group) or sigma, so it builds no cycle index.
+    (s_i, m_i, p^e) and is the one place the offsets are worked out, and a
+    block with p(0) = 0 (M singular) is refused there. The rest is built on
+    first read and kept; the naive oracle reads only `step`, index-free
+    rings off the layout, so it builds no cycle index.
     """
 
     def __init__(self, spec: ElementaryDivisorSpec):
+        if any(p.coeff(0) == 0 for p, _ in spec.blocks):
+            raise SingularMatrixError("generator is singular: a block polynomial has p(0) = 0")
         self.spec = spec
         self.lanes = lanes(spec.field.q, spec.n)
         layout, s = [], 0
@@ -118,6 +121,30 @@ class CompiledSpec:
     def blocks(self) -> tuple[tuple[int, int, FieldCtx], ...]:
         """(bit offset, bit mask, context of F_q[x]/(p^e)) of each block."""
         return tuple((s, mask, field_context(f)) for s, mask, f in self.layout)
+
+    @cached_property
+    def step(self):
+        """v -> vM on packed vectors, on rings with no cycle index."""
+        parts = [(s, m, PackedRing(f).mul_by_x_code) for s, m, f in self.layout]
+        if len(parts) == 1:
+            return parts[0][2]
+
+        def step(v):
+            out = 0
+            for s, mask, mul_x in parts:
+                out |= mul_x((v >> s) & mask) << s
+            return out
+
+        return step
+
+    @cached_property
+    def power(self):
+        """(v, e) -> vM^e on packed vectors, read off the cycle indexes."""
+        blocks = self.blocks
+        if len(blocks) == 1:
+            return blocks[0][2].mul_x_power_code
+        # the blocks' bits are disjoint, so the sum of the parts is their OR
+        return lambda v, e: sum(c.mul_x_power_code((v >> s) & m, e) << s for s, m, c in blocks)
 
     @cached_property
     def group(self):
@@ -205,10 +232,6 @@ def _group_places(blocks, codes, f: int) -> dict:
 def build_generator(spec: ElementaryDivisorSpec) -> Mat:
     """Block-diagonal matrix of companion blocks, one per (p, e) with poly
     p^e, each at its offset in the spec's layout."""
-    if any(p.coeff(0) == 0 for p, _ in spec.blocks):
-        raise SingularMatrixError(
-            "generator is singular: a block polynomial has p(0) = 0"
-        )
     codes = [c << s for s, _, f in spec.compiled.layout for c in companion_matrix(f).codes]
     return Mat(spec.field.q, spec.n, tuple(codes))
 

@@ -212,7 +212,7 @@ def decode_lf(R: Subspace, code: CyclicOrbitCode, f: int | None = None) -> Decod
     if params.min_distance is not None:
         delta = params.min_distance // 2
         exit_dim = math.ceil((k + kp - delta + 1) / 2)
-    start, mul = code.start.codes, ctx.mul_x_power_code
+    start, mul = code.start.codes, code.block_structure.compiled.power
     dims: dict[int, int] = {}
 
     def dim_at(e: int) -> int:

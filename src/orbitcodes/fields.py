@@ -232,7 +232,7 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "Poly") -> "Poly":
-        L = lanes(self.field.q, max(len(self.coeffs), len(other.coeffs)))
+        L = _poly_lanes(self.field.q, max(len(self.coeffs), len(other.coeffs)))
         return Poly.make(self.field, L.unpack(L.add(L.pack(self.coeffs), L.pack(other.coeffs))))
 
     def __neg__(self) -> "Poly":
@@ -242,13 +242,13 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        L = lanes(self.field.q, max(len(self.coeffs) + len(other.coeffs) - 1, 0))
+        L = _poly_lanes(self.field.q, len(self.coeffs) + len(other.coeffs) - 1)
         return Poly.make(self.field, L.unpack(L.mul(L.pack(self.coeffs), L.pack(other.coeffs))))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
             raise NonUnitError("polynomial division by zero")
-        L = lanes(self.field.q, len(self.coeffs))
+        L = _poly_lanes(self.field.q, len(self.coeffs))
         quo, rem = L.divmod(L.pack(self.coeffs), L.pack(other.coeffs))
         return Poly.make(self.field, L.unpack(quo)), Poly.make(self.field, L.unpack(rem))
 
@@ -533,6 +533,12 @@ def lanes(q: int, n: int) -> Lanes:
     return Lanes(q, n)
 
 
+def _poly_lanes(q: int, n: int) -> Lanes:
+    """A packing of at least n lanes for a Poly operation: n rounded up to a
+    power of two, so operations of many degrees share O(log n) packings."""
+    return lanes(q, 1 << max(n - 1, 0).bit_length())
+
+
 def monic_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the given degree, ascending integer encoding."""
     if degree < 0:
@@ -710,10 +716,10 @@ class FieldCtx(PackedRing):
     x_power and x_log take and return coefficient tuples of length
     exactly n. When f(0) != 0, x is a unit and multiplication by x
     permutes the nonzero elements; the context indexes the cycles of that
-    permutation on first use. Cycle 0 is <x> itself, so the powers of x,
-    their logs and the order of x all come from the same index. For a
-    primitive f that is one cycle, the discrete-log table, and it is built
-    eagerly. An index over more than CYCLE_INDEX_LIMIT elements is refused.
+    permutation on first read, for every f. Cycle 0 is <x> itself, so the
+    powers of x, their logs and the order of x all come from the same
+    index; for a primitive f that is one cycle, the discrete-log table. An
+    index over more than CYCLE_INDEX_LIMIT elements is refused when read.
     """
 
     def __init__(self, modulus: Poly):
@@ -726,13 +732,8 @@ class FieldCtx(PackedRing):
         self.zero = (0,) * self.n
         self.one = tuple(1 if i == 0 else 0 for i in range(self.n))
         self.x = self.lanes.unpack(self.mul_by_x_code(1))
-        # cycle index: slot of each nonzero code, the codes by slot, and the
-        # first slot of each cycle (plus a closing sentinel)
+        # the cycle index (_slot, _by_slot, _starts), set by _build_cycles on first read
         self._slot = None
-        self._by_slot = array("q")
-        self._starts: list[int] = []
-        if self.is_primitive:
-            self._build_cycles()
 
     # -- representation plumbing ------------------------------------------
 

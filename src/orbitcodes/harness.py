@@ -12,10 +12,11 @@ import os
 import random
 from dataclasses import dataclass, field, fields
 
+from . import analysis
 from .analysis import CyclicOrbitCode, analyze, analyze_naive, analyze_packed, codeword, make_code
 from .canonical import ElementaryDivisorSpec
 from .decoder import decode_exhaustive, decode_lf
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError, OrbitCapError
 from .fields import Poly, lanes
 from .linalg import Mat, Subspace
 
@@ -313,6 +314,21 @@ def random_search(
             if _better((card, t), cur and (cur[0], cur[1])):
                 best[d] = (card, t, rows)
 
+    # Before any oracle walk, each cell is checked on its fast count: an
+    # orbit's size divides ord(M), so a count that does not is a fast-path
+    # fault, and a cell above the oracle's cap is refused, not verified.
+    cap, order = analysis.ORBIT_CAP, generator_spec.generator_order()
+    for d, (card, _, _) in sorted(best.items()):
+        if order % card:
+            raise InternalInvariantError(
+                f"fast analyzer reported cardinality {card} at distance {d}, "
+                f"which does not divide the generator order {order}"
+            )
+        if card > cap:
+            raise OrbitCapError(
+                f"the cell at distance {d} has cardinality {card}, above the "
+                f"oracle's orbit cap of {cap} subspaces, so it cannot be re-verified"
+            )
     # naive re-verification of every cell before it enters the report
     cells = []
     for d in sorted(best):
@@ -329,7 +345,7 @@ def random_search(
         k=k,
         n=n,
         blocks=tuple((p.coeffs, e) for p, e in generator_spec.blocks),
-        generator_order=generator_spec.generator_order(),
+        generator_order=order,
         trials=trials,
         seed=seed,
         cells=tuple(cells),

@@ -18,6 +18,7 @@ from orbitcodes import (
     Poly,
     PrimeField,
     ShapeMismatchError,
+    SingularMatrixError,
     Subspace,
     analyze,
     analyze_naive,
@@ -151,6 +152,57 @@ def test_naive_oracle_reads_no_cycle_index(monkeypatch):
     # specs are new, so the oracle is the first reader of theirs
     fresh = [make_code(ElementaryDivisorSpec.make(f, b), rows) for f, b, rows in blocks]
     assert [analyze_naive(c) for c in codes + fresh] == fast + fast
+
+
+@pytest.mark.parametrize(
+    "field,blocks,rows",
+    [
+        (P2, [(X6_X_1, 1)], [(1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 1, 0)]),
+        (P2, [(X4_NONPRIM, 1)], [(1, 0, 1, 0)]),
+        (P3, [(X2_1_F3, 2)], [(1, 0, 2, 1)]),
+        (P3, [(poly_of(3, [1, 1]), 1), (X2_X_2_F3, 1)], [(1, 1, 2)]),
+        (P2, [(X2_X_1, 2), (X3_X_1, 1)], [(1, 0, 1, 1, 0, 1, 0)]),
+    ],
+)
+def test_oracle_builds_no_block_context_or_generator(field, blocks, rows):
+    # a fresh spec: the oracle steps index-free rings read off the layout,
+    # and make_code leaves the generator to its first reader
+    spec = ElementaryDivisorSpec.make(field, blocks)
+    code = make_code(spec, rows)
+    analyze_naive(code)
+    enumerate_orbit(code)
+    assert not {"blocks", "generator"} & vars(spec.compiled).keys()
+    assert code.generator == build_generator(spec)
+    assert "generator" in vars(spec.compiled)
+
+
+def test_huge_exponent_refusal_builds_no_generator():
+    # one block (x + 1)^20000: the first placement refuses the cycle index,
+    # and the 20000 x 20000 generator is never built
+    spec = ElementaryDivisorSpec.make(P2, [(poly_of(2, [1, 1]), 20000)])
+    code = make_code(spec, [(1,) + (0,) * 19999])
+    with pytest.raises(DomainError, match=r"\(q=2, degree 20000\)"):
+        analyze(code)
+    assert "generator" not in vars(spec.compiled)
+
+
+@pytest.mark.parametrize(
+    "blocks,row",
+    [
+        ([(poly_of(2, [0, 1]), 1)], (1,)),
+        ([(poly_of(2, [0, 1]), 2)], (1, 0)),
+        ([(X2_X_1, 1), (poly_of(2, [0, 1]), 1)], (1, 0, 1)),
+    ],
+)
+def test_make_code_refuses_a_block_with_zero_constant_term(blocks, row):
+    # p = x is irreducible, so the spec is made, but M is singular
+    spec = ElementaryDivisorSpec.make(P2, blocks)
+    with pytest.raises(SingularMatrixError, match=r"p\(0\) = 0"):
+        make_code(spec, [row])
+    data = {"q": 2, "blocks": [{"poly": " ".join(map(str, p.coeffs)), "exp": e} for p, e in blocks],
+            "start": [" ".join(map(str, row))]}
+    with pytest.raises(SingularMatrixError, match=r"p\(0\) = 0"):
+        code_from_json_dict(data)
 
 
 def test_regime_labels():

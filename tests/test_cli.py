@@ -229,6 +229,17 @@ def test_huge_exponent_refused_at_the_index_limit(capsys, tmp_path):
     assert "(q=2, degree 20000)" in err and f"limit of {CYCLE_INDEX_LIMIT}" in err
 
 
+@pytest.mark.parametrize("method", ["fast", "naive"])
+def test_analyze_refuses_a_singular_block(capsys, tmp_path, method):
+    # the block x^2 (p = x, p(0) = 0) gives a singular generator
+    spec = {"q": 2, "blocks": [{"poly": "0 1", "exp": 2}], "start": ["1 0"]}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, ["analyze", "--code", str(path), "--method", method])
+    assert rc == 1 and out == ""
+    assert "generator is singular" in err
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["spread", "--q", "2", "--n", "4", "--k", "2", "--nonprimitive"]
     src = str(Path(orbitcodes.__file__).resolve().parents[1])

@@ -302,11 +302,14 @@ def test_irreducible_with_order_pinned(degree, order, coeffs):
 
 def test_large_modulus_refused_at_the_index_limit():
     # x^61+x^5+x^2+x+1 is primitive (2^61 - 1 is prime): the order is found
-    # at once, and the context refuses the 2^61 - 1 element cycle index
+    # at once, and the context refuses the 2^61 - 1 element cycle index on
+    # its first read
     f = poly_of(2, [1, 1, 1, 0, 0, 1] + [0] * 55 + [1])
     assert poly_order(f) == 2**61 - 1
+    ctx = field_context(f)
+    assert ctx.is_primitive
     with pytest.raises(DomainError, match=r"q=2, degree 61.*limit of 4194304"):
-        field_context(f)
+        ctx.cycle_of_code(1)
 
 
 @pytest.mark.parametrize("q,degree", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
@@ -444,14 +447,24 @@ def test_cycle_index_beyond_byte_coefficients():
     assert [ctx.x_log(ctx.x_power(e)) for e in range(256)] == list(range(256))
 
 
+def test_poly_products_of_many_degrees_share_few_packings():
+    from orbitcodes import fields
+
+    before = fields.lanes.cache_info().currsize
+    x_1 = poly_of(2, [1, 1])
+    for d in range(1, 400):
+        assert (poly_of(2, [1] + [0] * (d - 1) + [1]) * x_1).degree == d + 1
+    assert fields.lanes.cache_info().currsize - before <= 10
+
+
 def test_cycle_index_size_limit(monkeypatch):
     from orbitcodes import fields
 
     monkeypatch.setattr(fields, "CYCLE_INDEX_LIMIT", 2**10)
-    # a primitive modulus builds its index in the constructor
+    # a primitive modulus builds its index on first read, as any other does
+    ctx = FieldCtx(least_primitive(P2, 12))
     with pytest.raises(DomainError, match=r"q=2, degree 12.* 1024"):
-        FieldCtx(least_primitive(P2, 12))
-    # any other modulus builds it on first use
+        ctx.x_order
     ctx = FieldCtx(poly_of(2, [1, 1, 0, 0, 0, 0, 1]) * poly_of(2, [1, 1, 0, 0, 0, 0, 1]))
     assert mul_by_x(ctx, ctx.one) == ctx.x
     with pytest.raises(DomainError, match=r"q=2, degree 12.* 1024"):

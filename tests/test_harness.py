@@ -12,6 +12,8 @@ from orbitcodes import (
     ChannelConfig,
     DomainError,
     ElementaryDivisorSpec,
+    InternalInvariantError,
+    OrbitCapError,
     Poly,
     PrimeField,
     SpreadSpec,
@@ -326,6 +328,33 @@ def test_process_pool_is_capped_at_cpu_count(monkeypatch):
 def test_random_search_accepts_bare_polynomial():
     rep = random_search(2, 2, 4, X4_X_1, trials=50, seed=2)
     assert rep.blocks == ((X4_X_1.coeffs, 1),)
+
+
+def test_random_search_refuses_a_cell_above_the_orbit_cap_before_any_walk(monkeypatch):
+    from orbitcodes import analysis
+
+    def refuse(code):
+        raise AssertionError("the oracle walk started")
+
+    # the cells are (distance 2, cardinality 15) and (4, 5); the cap is
+    # read at call time
+    monkeypatch.setattr(analysis, "ORBIT_CAP", 10)
+    monkeypatch.setattr(analysis, "_walk", refuse)
+    with pytest.raises(OrbitCapError, match=r"distance 2 has cardinality 15.*cap of 10 "):
+        random_search(2, 2, 4, single_block(X4_X_1), trials=500, seed=1009)
+
+
+def test_random_search_refuses_a_cardinality_that_does_not_divide_the_order(monkeypatch):
+    from orbitcodes import analysis, harness
+
+    def overstated(spec, raw):
+        params = analysis.analyze_packed(spec, raw)
+        return analysis.CodeParams(params.cardinality + 1, params.min_distance)
+
+    # ord(M) = 15, and the true cells (2, 15) and (4, 5) become 16 and 6
+    monkeypatch.setattr(harness, "analyze_packed", overstated)
+    with pytest.raises(InternalInvariantError, match=r"cardinality 16 at distance 2.*order 15$"):
+        random_search(2, 2, 4, single_block(X4_X_1), trials=500, seed=1009)
 
 
 def test_random_search_validation():
