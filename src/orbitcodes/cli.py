@@ -482,12 +482,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *, code=False, received=False, seeded=False, qnk=False, poly=False):
+        """Adds the shared flags; with poly, returns the group that --poly
+        sits in, for the one flag that conflicts with it."""
+        group = None
         if qnk:
             p.add_argument("--q", type=int, help="prime field size")
             p.add_argument("--n", type=int, help="ambient dimension")
             p.add_argument("--k", type=int, help="codeword dimension")
         if poly:
-            p.add_argument(
+            group = p.add_mutually_exclusive_group()
+            group.add_argument(
                 "--poly",
                 nargs="+",
                 metavar="FILE|COEFF",
@@ -507,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="trial chunks, run on at most one process per CPU; "
                 "the output does not depend on it",
             )
+        return group
 
     p = sub.add_parser("analyze", help="cardinality/distance of a code spec")
     add_common(p, code=True)
@@ -515,13 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", help="matrix type of a generator")
-    add_common(p, qnk=True, poly=True)
-    p.add_argument("--code", help="code spec JSON file (classify its generator)")
+    add_common(p, qnk=True, poly=True).add_argument(
+        "--code", help="code spec JSON file (classify its generator)"
+    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("spread", help="emit a spread code spec")
-    add_common(p, qnk=True, poly=True)
-    p.add_argument(
+    add_common(p, qnk=True, poly=True).add_argument(
         "--nonprimitive",
         action="store_true",
         help="use the least irreducible of order (q^n-1)/(q^k-1) instead of a primitive polynomial",
@@ -529,8 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spread)
 
     p = sub.add_parser("search", help="seeded random search over start subspaces")
-    add_common(p, qnk=True, poly=True, seeded=True)
-    p.add_argument("--order", type=int, help="pick the least irreducible with this order")
+    add_common(p, qnk=True, poly=True, seeded=True).add_argument(
+        "--order", type=int, help="pick the least irreducible with this order"
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_search)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterator, NamedTuple
 
@@ -42,14 +42,20 @@ class DecodeResult:
     group_exponent is reduced mod the code cardinality. When several
     candidates tie at the maximal intersection the smallest exponent wins
     and unique is False; a distance within the unique-decoding radius
-    always comes with unique True.
+    always comes with unique True. The answer is the exponent: codeword,
+    U M^group_exponent of the decoded code, is built on each read (slots
+    leave no __dict__ to keep it in).
     """
 
-    codeword: Subspace
+    code: CyclicOrbitCode = field(repr=False)
     group_exponent: int
     distance: int
     unique: bool
     candidates_examined: int
+
+    @property
+    def codeword(self) -> Subspace:
+        return codeword(self.code, self.group_exponent)
 
 
 class _Tables(NamedTuple):
@@ -70,9 +76,10 @@ def _tables(code: CyclicOrbitCode) -> _Tables:
     tables = vars(code).get("decoder_tables")
     if tables is not None:
         return tables
-    if code.regime not in ("primitive", "irreducible"):
+    spec = code.block_structure
+    if spec is None or len(spec.blocks) != 1 or spec.blocks[0][1] != 1:
         raise DomainError("decoding needs a single irreducible companion-block generator")
-    ctx = code.block_structure.compiled.blocks[0][2]
+    ctx = spec.compiled.blocks[0][2]
     params = analyze(code, method="fast")
     places = tuple(ctx.cycle_of_code(u)[:2] for u in code.start.element_codes()[1:])
     card = params.cardinality
@@ -94,13 +101,7 @@ def _result(
     R: Subspace, code: CyclicOrbitCode, exponent: int, dim: int, unique: bool, examined: int
 ) -> DecodeResult:
     """The answer for codeword U x^exponent, which meets R in dimension dim."""
-    return DecodeResult(
-        codeword=codeword(code, exponent),
-        group_exponent=exponent,
-        distance=code.k + R.dim - 2 * dim,
-        unique=unique,
-        candidates_examined=examined,
-    )
+    return DecodeResult(code, exponent, code.k + R.dim - 2 * dim, unique, examined)
 
 
 def decode_exhaustive(R: Subspace, code: CyclicOrbitCode) -> DecodeResult:

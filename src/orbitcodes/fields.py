@@ -16,7 +16,7 @@ import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import DomainError, NoSuchPolynomialError, NonUnitError
@@ -727,13 +727,20 @@ class FieldCtx(PackedRing):
             raise DomainError("modulus must have degree >= 1")
         modulus = modulus.monic()
         super().__init__(modulus)
-        self.is_irreducible = is_irreducible(modulus)
-        self.is_primitive = is_primitive(modulus)
         self.zero = (0,) * self.n
         self.one = tuple(1 if i == 0 else 0 for i in range(self.n))
         self.x = self.lanes.unpack(self.mul_by_x_code(1))
         # the cycle index (_slot, _by_slot, _starts), set by _build_cycles on first read
         self._slot = None
+
+    @cached_property
+    def is_irreducible(self) -> bool:
+        return is_irreducible(self.modulus)
+
+    @cached_property
+    def is_primitive(self) -> bool:
+        """Read on first use: it factors q^n - 1."""
+        return is_primitive(self.modulus)
 
     # -- representation plumbing ------------------------------------------
 

@@ -156,13 +156,15 @@ def _simulate_range(code: CyclicOrbitCode, cfg: ChannelConfig, lo: int, hi: int)
         res_ex = decode_exhaustive(R, code)
         res_lf = decode_lf(R, code)
         stats.trials += 1
-        stats.success_exhaustive += res_ex.codeword == V
-        stats.success_lf += res_lf.codeword == V
+        # h -> U M^h is one-to-one mod card, so a decode found V exactly
+        # when it found its exponent
+        stats.success_exhaustive += res_ex.group_exponent == exponent
+        stats.success_lf += res_lf.group_exponent == exponent
         stats.unique_exhaustive += res_ex.unique
         stats.unique_lf += res_lf.unique
         stats.examined_exhaustive += res_ex.candidates_examined
         stats.examined_lf += res_lf.candidates_examined
-        stats.agree += res_ex.codeword == res_lf.codeword
+        stats.agree += res_ex.group_exponent == res_lf.group_exponent
     return stats
 
 

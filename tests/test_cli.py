@@ -401,3 +401,14 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # --code is required
     assert exc.value.code == 2
+    # flags that pick the same thing two ways are refused, not one dropped
+    for argv in (
+        ["spread", "--q", "2", "--n", "6", "--k", "3", "--nonprimitive", "--poly", "1", "1", "0",
+         "0", "0", "0", "1"],
+        ["search", "--q", "2", "--n", "4", "--k", "2", "--seed", "1", "--poly", "1", "1", "0",
+         "0", "1", "--order", "15"],
+        ["classify", "--code", "spec.json", "--q", "2", "--poly", "1", "1", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

@@ -19,18 +19,21 @@ from orbitcodes import (
     Subspace,
     analyze,
     codeword,
+    companion_matrix,
     decode_exhaustive,
     decode_lf,
     enumerate_orbit,
     error_capability,
     field_context,
     find_irreducible_with_order,
+    general_code,
     least_primitive,
     lf_set,
     lf_vector_count,
     make_code,
     subspace_distance,
 )
+from orbitcodes import fields
 
 from conftest import (
     P2,
@@ -42,6 +45,7 @@ from conftest import (
     X4_NONPRIM,
     X4_X_1,
     X6_X_1,
+    poly_of,
     rand_full_rank,
     single_block,
 )
@@ -157,6 +161,33 @@ def test_decoder_needs_single_irreducible_block():
             Subspace.from_rows(2, 4, [(1, 0, 0, 0)]),
             make_code(sq, [(1, 0, 0, 0)]),
         )
+    # a bare matrix is refused even when it is one irreducible companion block
+    bare = general_code(companion_matrix(X6_X_1), Subspace.from_rows(2, 6, SPREAD_ROWS))
+    for decode in (decode_exhaustive, decode_lf):
+        with pytest.raises(DomainError, match="single irreducible companion-block"):
+            decode(codeword(spread_code(), 1), bare)
+
+
+def test_decoders_factor_nothing(monkeypatch):
+    p = poly_of(2, [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1])  # x^10 + x^7 + 1, primitive
+    # no context, label or order of p left from an earlier test
+    for cache in (fields._cached_ctx, fields._irreducible_order, fields.poly_order):
+        cache.cache_clear()
+    rng = random.Random(SEED + 10)
+    code = make_code(single_block(p), rand_full_rank(rng, 2, 2, 10))
+    R = rand_full_rank(rng, 2, 3, 10)
+
+    def refuse(m):
+        raise AssertionError(f"factorize({m})")
+
+    monkeypatch.setattr(fields, "factorize", refuse)
+    res_ex, res_lf = decode_exhaustive(R, code), decode_lf(R, code)
+    card = analyze(code).cardinality
+    assert res_ex.distance == min(subspace_distance(R, codeword(code, e)) for e in range(card))
+    assert res_lf.distance >= res_ex.distance
+    # the label alone tells primitive from irreducible by factoring 2^10 - 1
+    with pytest.raises(AssertionError, match="factorize"):
+        code.regime
 
 
 # -- L_f machinery ----------------------------------------------------------

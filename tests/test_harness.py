@@ -23,6 +23,7 @@ from orbitcodes import (
     build_spread,
     codeword,
     decode_exhaustive,
+    decode_lf,
     least_primitive,
     make_code,
     random_search,
@@ -30,6 +31,7 @@ from orbitcodes import (
     subspace_distance,
     transmit,
 )
+from orbitcodes import decoder, harness
 from orbitcodes.fields import lanes
 from orbitcodes.harness import SimulationStats, _better, _random_full_rank_rows, _transmit
 
@@ -244,6 +246,59 @@ def test_simulate_golden(name, channel, jobs):
             "avg_examined_lf": avg_lf,
             "decoder_agreement_rate": agree,
         }, (seed, jobs)
+
+
+@pytest.mark.parametrize("name", ["prim12", "nonprim12", "q3n6"])
+def test_simulate_counts_exponents_past_the_radius(monkeypatch, name):
+    code = golden_code(name)
+    card = analyze(code).cardinality
+    for channel in ((2, 2), (2, 3), (0, 3)):
+        for seed in (1, 0x5EED1234):
+            cfg = ChannelConfig(*channel, seed=seed)
+            # the same trials, judged on the decoders' codewords
+            ref = SimulationStats()
+            for t in range(12):
+                rng = random.Random(seed ^ t)
+                V = codeword(code, rng.randrange(card))
+                R = _transmit(V, cfg.erasures, cfg.errors, rng)
+                res_ex, res_lf = decode_exhaustive(R, code), decode_lf(R, code)
+                ref.merge(
+                    SimulationStats(
+                        trials=1,
+                        success_exhaustive=res_ex.codeword == V,
+                        success_lf=res_lf.codeword == V,
+                        unique_exhaustive=res_ex.unique,
+                        unique_lf=res_lf.unique,
+                        examined_exhaustive=res_ex.candidates_examined,
+                        examined_lf=res_lf.candidates_examined,
+                        agree=res_ex.codeword == res_lf.codeword,
+                    )
+                )
+            assert simulate_decoding(code, cfg, trials=12) == ref, (channel, seed)
+            if (name, channel, seed) == ("q3n6", (2, 2), 1):
+                # the decoders settle on different codewords here
+                assert ref.agree < 12
+
+    built = {"harness": 0, "decoder": 0}
+
+    def counting(module):
+        def build(c, e):
+            built[module] += 1
+            return codeword(c, e)
+
+        return build
+
+    monkeypatch.setattr(harness, "codeword", counting("harness"))
+    monkeypatch.setattr(decoder, "codeword", counting("decoder"))
+    simulate_decoding(code, ChannelConfig(2, 2, seed=3), trials=7)
+    # each trial builds the codeword it sends, and no decoder builds one
+    assert built == {"harness": 7, "decoder": 0}
+    R = _transmit(codeword(code, 2), 1, 1, random.Random(5))
+    for res in (decode_exhaustive(R, code), decode_lf(R, code)):
+        assert built["decoder"] == 0
+        assert res.codeword == codeword(code, res.group_exponent)
+        assert built["decoder"] == 1
+        built["decoder"] = 0
 
 
 def test_simulation_stats_pickle_round_trip():
